@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import erfc
 
 __all__ = [
     "LinkParams",
@@ -28,6 +27,10 @@ __all__ = [
 
 # Gray map: bit pair (b0, b1) -> (I, Q) signs, unit symbol energy.
 _SCALE = 1.0 / math.sqrt(2.0)
+
+# math.erfc over scalars or arrays, so numpy stays the only runtime
+# dependency.
+erfc = np.vectorize(math.erfc, otypes=[float])
 
 
 def watts_to_dbm(p_watts) -> float:

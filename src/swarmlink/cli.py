@@ -46,9 +46,8 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _fmt(value) -> str:
+    # float() drops numpy's np.float64(...) repr wrapper
     if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (np.floating,)):
         return repr(float(value))
     return str(value)
 

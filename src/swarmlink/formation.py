@@ -164,9 +164,10 @@ def movement_step(current: UavState, target: Pose, gains: PidGains,
                   params: UavParams, dt: float) -> ControlInput:
     """PD goal-seeking command toward ``target``.
 
-    Horizontal control only: the desired horizontal acceleration is mapped
-    to pitch/roll setpoints (at the current yaw held to zero) and tracked
-    by a fast attitude PD loop; altitude is held by a thrust PD loop.
+    The desired horizontal acceleration is rotated into the body's heading
+    frame by the current yaw and mapped to pitch/roll setpoints, which a
+    fast attitude PD loop tracks together with the target heading;
+    altitude is held by a thrust PD loop.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
@@ -179,8 +180,11 @@ def movement_step(current: UavState, target: Pose, gains: PidGains,
     u = params.mass * max(az, 0.0) / max(math.cos(theta) * math.cos(phi), 0.5)
     u = max(u, 0.0)
     denom = max(az, 1e-6)
-    theta_des = math.atan2(a_des[0], denom)
-    phi_des = math.atan2(-a_des[1], denom)
+    # inverse of rigid_body_accel's small-angle thrust projection:
+    # (ax, ay) = g * R(psi) @ (theta, -phi)
+    c, s = math.cos(psi), math.sin(psi)
+    theta_des = math.atan2(c * a_des[0] + s * a_des[1], denom)
+    phi_des = math.atan2(s * a_des[0] - c * a_des[1], denom)
     theta_des = max(-_MAX_TILT, min(_MAX_TILT, theta_des))
     phi_des = max(-_MAX_TILT, min(_MAX_TILT, phi_des))
     psi_des = target.heading

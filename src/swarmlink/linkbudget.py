@@ -15,9 +15,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfc
 
-from .channel import LinkParams, friis_received_power, watts_to_dbm
+from .channel import LinkParams, erfc, friis_received_power, watts_to_dbm
 
 __all__ = [
     "SPEED_OF_LIGHT",

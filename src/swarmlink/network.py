@@ -80,9 +80,6 @@ class TopologyGraph:
                     seen.append((a, b, cost))
         return seen
 
-    def neighbors(self, node: str) -> dict[str, float]:
-        return self.adjacency[node]
-
 
 @dataclass
 class PropagationResult:
@@ -234,37 +231,11 @@ def build_topology(kind: TopologyKind, n_uavs: int, n_groups: int,
 
 def route_shortest(graph: TopologyGraph, src: str,
                    dst: str) -> PropagationResult:
-    """Dijkstra shortest path by edge cost; ties break by node id."""
-    for node in (src, dst):
-        if node not in graph.roles:
-            raise ValueError(f"unknown node {node!r}")
-    dist = {src: 0.0}
-    prev: dict[str, str] = {}
-    heap = [(0.0, src)]
-    done = set()
-    while heap:
-        d, node = heapq.heappop(heap)
-        if node in done:
-            continue
-        done.add(node)
-        if node == dst:
-            break
-        for nb in sorted(graph.adjacency[node]):
-            cand = d + graph.adjacency[node][nb]
-            if nb not in dist or cand < dist[nb] - 1e-15:
-                dist[nb] = cand
-                prev[nb] = node
-                heapq.heappush(heap, (cand, nb))
-    if dst not in done:
-        return PropagationResult(delivered=set(), total_messages=0,
-                                 hop_count=0, path=None, cost=None)
-    path = [dst]
-    while path[-1] != src:
-        path.append(prev[path[-1]])
-    path.reverse()
-    hops = len(path) - 1
-    return PropagationResult(delivered={dst}, total_messages=hops,
-                             hop_count=hops, path=path, cost=dist[dst])
+    """Dijkstra shortest path by edge cost; ties break by node id.
+
+    This is :func:`astar` with a zero heuristic.
+    """
+    return astar(graph, src, dst, heuristic=lambda a, b: 0.0)[0]
 
 
 def flood(graph: TopologyGraph, src: str, ttl: int) -> PropagationResult:
@@ -352,8 +323,8 @@ def astar(graph: TopologyGraph, src: str, dst: str,
     """A* over the graph; returns (result, node expansions).
 
     The default heuristic is the straight-line distance between node
-    positions, which is admissible for Euclidean edge costs. Passing
-    ``heuristic=lambda a, b: 0`` degenerates to Dijkstra.
+    positions, which is admissible for Euclidean edge costs. A zero
+    heuristic degenerates to Dijkstra (:func:`route_shortest`).
     """
     for node in (src, dst):
         if node not in graph.roles:

@@ -2,8 +2,8 @@
 time-series synthesis, wind-shear response split and airflow drag force.
 
 Spectra are two-sided densities over spatial frequency Omega (rad/m): for
-the longitudinal component the integral of the density over the whole real
-line equals sigma**2.
+every component the integral of the density over the whole real line
+equals sigma**2.
 """
 from __future__ import annotations
 
@@ -41,11 +41,8 @@ class TurbulenceSpec:
     sigma: tuple[float, float, float]
     length: tuple[float, float, float]
     model: TurbulenceModel = TurbulenceModel.DRYDEN
-    von_karman_a: float = VON_KARMAN_A
 
     def __post_init__(self):
-        if self.von_karman_a != VON_KARMAN_A:
-            raise ValueError("von_karman_a is fixed at 1.339")
         if len(self.sigma) != 3 or len(self.length) != 3:
             raise ValueError("sigma and length must be 3-vectors")
         if any(s < 0 for s in self.sigma):
@@ -86,16 +83,19 @@ def dryden_psd(spec: TurbulenceSpec, component: str, omega):
 
 
 def von_karman_psd(spec: TurbulenceSpec, component: str, omega):
-    """Von Karman spectral density at spatial frequency ``omega`` (rad/m)."""
+    """Von Karman spectral density at spatial frequency ``omega`` (rad/m).
+
+    The transverse (v, w) form is MIL-F-8785C's with the scale written as
+    2L, as in :func:`dryden_psd`.
+    """
     sigma, length = spec.params_for(component)
     omega = np.asarray(omega, dtype=float)
-    a = spec.von_karman_a
+    a = VON_KARMAN_A
     if component == "u":
         shape = (1.0 + (a * length * omega) ** 2) ** (-5.0 / 6.0)
     else:
-        lo2 = (length * omega) ** 2
-        shape = (1.0 + (8.0 / 3.0) * (2.0 * a) ** 2 * lo2) \
-            / (1.0 + 2.0 * a * lo2) ** (11.0 / 6.0)
+        x2 = (2.0 * a * length * omega) ** 2
+        shape = (1.0 + (8.0 / 3.0) * x2) / (1.0 + x2) ** (11.0 / 6.0)
     return sigma ** 2 * length / np.pi * shape
 
 

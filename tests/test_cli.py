@@ -199,3 +199,28 @@ def test_channel_outputs(tmp_path, config_dict):
     assert len(ber_lines) == 1 + len(config_dict["channel"]["ebn0_db"])
     assert (out / "power_sweep.csv").exists()
     assert (out / "constellation.csv").exists()
+
+
+def test_reference_csv_cells_are_numbers(tmp_path):
+    """Every subcommand on the committed scenario writes CSV cells that
+    parse as numbers; ``poses.csv``'s ``id`` column holds craft ids."""
+    runs = [[sub] for sub in ("dynamics", "wind", "optimize", "formation",
+                              "channel", "network")]
+    runs += [[sub, "--mode", mode] for sub in ("budget", "berdist")
+             for mode in ("paper", "corrected")]
+    n_csv = 0
+    for k, args in enumerate(runs):
+        out = tmp_path / str(k)
+        assert main([*args, "--config", str(REPO_CONFIG),
+                     "--out", str(out)]) == EXIT_OK
+        for path in sorted(out.glob("*.csv")):
+            header, *rows = path.read_text().splitlines()
+            numeric = [i for i, name in enumerate(header.split(","))
+                       if name != "id"]
+            assert rows, path.name
+            for row in rows:
+                cells = row.split(",")
+                for i in numeric:
+                    float(cells[i])  # raises on np.float64(...) and friends
+            n_csv += 1
+    assert n_csv == 11

@@ -178,3 +178,64 @@ def test_formation_trace_offset_error():
                                            [3.5, 0.0, 0.0]])})
     err = trace.offset_error("f", np.array([2.0, 0.0, 0.0]))
     np.testing.assert_allclose(err, [0.0, 0.5])
+
+
+@pytest.mark.parametrize("heading", [k * math.pi / 4 for k in range(-3, 5)],
+                         ids=lambda h: f"{h:+.3f}")
+def test_formation_tracking_any_heading(heading):
+    """An FGD and a DF follower behind a leader flying along ``heading``
+    over (-pi, pi] settle to an offset error below 2% of the offset norm
+    (criterion 12's bound) at the kd*v/kp ramp-tracking residual."""
+    c, s = math.cos(heading), math.sin(heading)
+    fgd_off = np.array([-5.0, 5.0, 0.0])
+    df_off = np.array([-10.0, 0.0, 0.0])
+    world = {"fgd": fgd_off,
+             "df": np.array([c * df_off[0] - s * df_off[1],
+                             s * df_off[0] + c * df_off[1], df_off[2]])}
+    roles = RoleGraph(root_id="L", edges=(
+        ("L", "fgd", _fgd(fgd_off)), ("L", "df", _df(df_off, 0.5))))
+    v = 0.5
+    start = np.array([0.0, 0.0, 10.0])
+    leader = straight_line_leader(start, [v * c, v * s, 0.0], heading)
+    states = {f: UavState.at_rest(position=start + off)
+              for f, off in world.items()}
+    trace = simulate_formation(leader, roles, states, GAINS, PARAMS,
+                               dt=0.01, duration=6.0)
+    for f, off in world.items():
+        err = trace.offset_error(f, off)
+        assert err[-1] < 0.02 * np.linalg.norm(off), (f, err[-1])
+        assert err[-1] == pytest.approx(GAINS.kd * v / GAINS.kp, rel=0.05)
+
+
+small = st.floats(-0.3, 0.3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(finite, finite, finite), st.tuples(small, small, small),
+       angles, small, small,
+       st.tuples(finite, finite, st.floats(-0.1, 0.1)),
+       st.floats(-3.0, 3.0), angles)
+def test_movement_step_rotation_equivariance(pos, vel, yaw, pitch, roll,
+                                             step, turn, alpha):
+    """Rotating state and target about the vertical axis by ``alpha``
+    leaves the body-frame command unchanged. The target is kept near the
+    current altitude so the vertical acceleration command stays above
+    3 m/s^2, away from the clamped free-fall case."""
+    goal = np.add(pos, step)
+    c, s = math.cos(alpha), math.sin(alpha)
+
+    def rot(x):
+        return np.array([c * x[0] - s * x[1], s * x[0] + c * x[1], x[2]])
+
+    def command(r, d_yaw):
+        state = UavState(position=r(pos), velocity=r(vel),
+                         euler=np.array([yaw + d_yaw, pitch, roll]),
+                         euler_rates=np.array([0.1, -0.2, 0.3]))
+        target = Pose(position=r(goal), heading=yaw + turn + d_yaw)
+        return movement_step(state, target, GAINS, PARAMS, 0.01)
+
+    base = command(np.asarray, 0.0)
+    turned = command(rot, alpha)
+    assert turned.total_thrust == pytest.approx(base.total_thrust, rel=1e-9)
+    np.testing.assert_allclose(turned.moments, base.moments, rtol=1e-9,
+                               atol=1e-6)

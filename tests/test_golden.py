@@ -1,0 +1,94 @@
+"""Golden digests: the SHA-256 of every file each subcommand writes from
+``configs/reference.json`` (default seed and ``--seed 7``; both ``--mode``
+values of ``budget`` and ``berdist``) must match
+``tests/golden/reference.sha256``.
+
+After a deliberate output change, regenerate the digest file with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and name each changed file, the reason and the largest difference in
+CHANGES.md.
+"""
+import contextlib
+import hashlib
+import io
+import platform
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from swarmlink.cli import EXIT_OK, main
+
+ROOT = Path(__file__).resolve().parents[1]
+CONFIG = ROOT / "configs" / "reference.json"
+GOLDEN = ROOT / "tests" / "golden" / "reference.sha256"
+
+_SUBCOMMANDS = ("dynamics", "wind", "optimize", "formation", "channel",
+                "budget", "berdist", "network")
+_MODAL = ("budget", "berdist")
+
+
+def _versions() -> str:
+    libc, libc_version = platform.libc_ver()
+    return (f"python {platform.python_version()}, numpy {np.__version__}, "
+            f"libm {libc or 'unknown'} {libc_version}".rstrip())
+
+
+def reference_digests(work: Path) -> dict[str, str]:
+    """Run every subcommand on the reference scenario under ``work`` and
+    return {"<seed>/<run>/<file>": sha256 hex}."""
+    digests = {}
+    for seed in ("default", "7"):
+        for sub in _SUBCOMMANDS:
+            for mode in (("paper", "corrected") if sub in _MODAL else (None,)):
+                run = sub if mode is None else f"{sub}-{mode}"
+                out = work / seed / run
+                argv = [sub, "--config", str(CONFIG), "--out", str(out)]
+                if seed != "default":
+                    argv += ["--seed", seed]
+                if mode is not None:
+                    argv += ["--mode", mode]
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = main(argv)
+                if code != EXIT_OK:
+                    raise RuntimeError(f"{argv} exited with {code}")
+                for path in sorted(out.iterdir()):
+                    digests[f"{seed}/{run}/{path.name}"] = hashlib.sha256(
+                        path.read_bytes()).hexdigest()
+    return digests
+
+
+def _read_golden() -> tuple[dict[str, str], list[str]]:
+    digests, header = {}, []
+    for line in GOLDEN.read_text().splitlines():
+        if line.startswith("#"):
+            header.append(line)
+        else:
+            digest, name = line.split(maxsplit=1)
+            digests[name] = digest
+    return digests, header
+
+
+def test_reference_digests(tmp_path):
+    expected, header = _read_golden()
+    got = reference_digests(tmp_path)
+    changed = sorted(name for name in expected.keys() | got.keys()
+                     if expected.get(name) != got.get(name))
+    assert not changed, (f"outputs differ from {GOLDEN.name} "
+                         f"({header[-1]}; here: {_versions()}): {changed}")
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = reference_digests(Path(tmp))
+    GOLDEN.parent.mkdir(parents=True, exist_ok=True)
+    lines = ["# SHA-256 of every file swarmlink writes from "
+             "configs/reference.json.",
+             "# Regenerate with: PYTHONPATH=src python tests/test_golden.py",
+             f"# Taken with {_versions()}"]
+    lines += [f"{digest}  {name}" for name, digest in digests.items()]
+    GOLDEN.write_text("\n".join(lines) + "\n")
+    print(f"wrote {len(digests)} digests to {GOLDEN}", file=sys.stderr)
