@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import erfc
 
 from swarmlink.channel import (FadingKind, FadingParams, LinkParams,
                                apply_channel, ber_monte_carlo,
-                               ber_qpsk_awgn_theoretical, crossover_distance,
+                               ber_qpsk_awgn_theoretical,
+                               ber_qpsk_theoretical, crossover_distance,
                                friis_received_power, qpsk_demodulate,
                                qpsk_modulate, two_ray_received_power,
                                watts_to_dbm)
@@ -186,3 +188,58 @@ def test_link_params_validation():
                    ground_reflection=0.5)
     with pytest.raises(ValueError):
         ber_monte_carlo(FadingParams(), 0.0, 3)
+
+
+@pytest.mark.parametrize("kind", [FadingKind.RAYLEIGH, FadingKind.RICIAN])
+@pytest.mark.parametrize("ebn0_db", [-10.0, 0.0, 4.0, 8.0, 20.0, 40.0])
+def test_fading_theory_k0_is_rayleigh_closed_form(kind, ebn0_db):
+    # Rayleigh ignores rician_k; Rician with K = 0 is Rayleigh
+    g = 10.0 ** (ebn0_db / 10.0)
+    got = float(ber_qpsk_theoretical(FadingParams(kind, rician_k=0.0),
+                                     ebn0_db))
+    assert got == pytest.approx(0.5 * (1.0 - math.sqrt(g / (1.0 + g))),
+                                rel=1e-13)
+
+
+@pytest.mark.parametrize("k", [0.5, 3.0, 10.0, 100.0])
+@pytest.mark.parametrize("ebn0_db", [0.0, 6.0, 12.0])
+def test_rician_theory_matches_quadrature(k, ebn0_db):
+    g = 10.0 ** (ebn0_db / 10.0)
+
+    def integrand(theta):
+        s = math.sin(theta) ** 2
+        d = (1.0 + k) * s + g
+        return (1.0 + k) * s / d * math.exp(-k * g / d)
+
+    expected = quad(integrand, 0.0, math.pi / 2, epsabs=0.0,
+                    epsrel=1e-13, limit=200)[0] / math.pi
+    got = float(ber_qpsk_theoretical(FadingParams(FadingKind.RICIAN, k),
+                                     ebn0_db))
+    assert got == pytest.approx(expected, rel=1e-11)
+
+
+def test_fading_theory_limits_and_shape():
+    grid = np.array([0.0, 4.0, 8.0])
+    awgn = ber_qpsk_awgn_theoretical(grid)
+    assert np.array_equal(ber_qpsk_theoretical(FadingParams(), grid), awgn)
+    # a dominant line of sight tends to AWGN
+    strong = ber_qpsk_theoretical(FadingParams(FadingKind.RICIAN, 1e6), grid)
+    assert strong.shape == grid.shape
+    np.testing.assert_allclose(strong, awgn, rtol=1e-3)
+    # no signal: a coin toss for every fading kind
+    for kind in FadingKind:
+        assert float(ber_qpsk_theoretical(FadingParams(kind), -200.0)) == \
+            pytest.approx(0.5, abs=1e-9)
+
+
+@pytest.mark.parametrize("kind,k", [(FadingKind.RICIAN, 3.0),
+                                    (FadingKind.RICIAN, 10.0),
+                                    (FadingKind.RAYLEIGH, 0.0)])
+def test_fading_theory_matches_monte_carlo(kind, k):
+    n_bits = 400_000
+    for seed, ebn0_db in enumerate((0.0, 4.0, 8.0)):
+        p = float(ber_qpsk_theoretical(FadingParams(kind, k), ebn0_db))
+        _, n_err = ber_monte_carlo(FadingParams(kind, k, seed=seed),
+                                   ebn0_db, n_bits)
+        sigma = math.sqrt(n_bits * p * (1.0 - p))
+        assert abs(n_err - n_bits * p) <= 4.0 * sigma + 2.0

@@ -1,12 +1,18 @@
 """CLI tests: exit codes, validation, byte-identical reruns and output
 schemas, driven through ``main()`` in-process."""
+import contextlib
+import functools
+import io
 import json
+import operator
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swarmlink.cli import (EXIT_ERROR, EXIT_INVALID, EXIT_OK, derive_seed,
-                           main, validate_config)
+                           main, parse_config, validate_config)
 
 REPO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "reference.json"
 
@@ -224,3 +230,165 @@ def test_reference_csv_cells_are_numbers(tmp_path):
                     float(cells[i])  # raises on np.float64(...) and friends
             n_csv += 1
     assert n_csv == 11
+
+
+# (subcommand, field to set, value, field the error must name)
+MALFORMED = [
+    ("optimize", "optimize.dim", "ten", "optimize.dim"),
+    ("dynamics", "duration", "10", "duration"),
+    ("wind", "wind.n_samples", 4096.0, "wind.n_samples"),
+    ("formation", "formation.edges", [["leader"]], "formation.edges[0]"),
+    ("wind", "wind.sigma", 1.0, "wind.sigma"),
+    ("network", "network.n_uavs", "5", "network.n_uavs"),
+    ("network", "network.apf.obstacles", [[1, 2]], "network.apf.obstacles"),
+    ("channel", "channel.n_bits", 3, "channel.n_bits"),
+    ("dynamics", "dynamics.gains.kp", -1, "dynamics.gains"),
+    ("formation", "formation.params.mass", 0, "formation.params"),
+    ("channel", "channel.fading.kind", "nakagami", "channel.fading.kind"),
+    ("optimize", "optimize", {"algorithm": "gwo", "n_wolves": 3},
+     "optimize"),
+    ("budget", "budget", {"use_reference": False}, "budget.tx_items"),
+    ("berdist", "berdist", {"use_reference": False}, "berdist.data_rate"),
+    ("wind", "seed", True, "seed"),
+    ("wind", "wind.shear_p", 1.5, "wind.shear_p"),
+    ("dynamics", "dt", -1.0, "dt"),
+    ("optimize", "optimize.algorithm", "annealing", "optimize.algorithm"),
+    ("network", "network.kind", "mesh", "network.kind"),
+    ("channel", "channel.link.ground_reflection", 0.5, "channel.link"),
+]
+
+
+def _set(config, dotted, value):
+    *parents, key = dotted.split(".")
+    functools.reduce(operator.getitem, parents, config)[key] = value
+
+
+@pytest.mark.parametrize("subcommand,field,value,named", MALFORMED,
+                         ids=[f"{f}={v!r}" for _, f, v, _ in MALFORMED])
+def test_malformed_config_one_line_exit_2(tmp_path, config_dict, capsys,
+                                          subcommand, field, value, named):
+    _set(config_dict, field, value)
+    path = _write(tmp_path, config_dict)
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", path, "--out", str(out)]) == \
+        EXIT_INVALID
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: config: {named}")
+    assert not out.exists()   # rejected before any runner
+    assert main(["validate", "--config", path]) == EXIT_INVALID
+
+
+def test_unknown_keys_warn_one_line_each(tmp_path, config_dict, capsys):
+    config_dict["optimize"]["n_particle"] = 40
+    config_dict["formation"]["edges"][0][2]["ofset"] = [1, 2, 3]
+    config_dict["sed"] = 3
+    path = _write(tmp_path, config_dict)
+    assert main(["validate", "--config", path]) == EXIT_OK
+    assert sorted(capsys.readouterr().err.splitlines()) == [
+        f"warning: config: {key}: unknown key, ignored"
+        for key in ("formation.edges[0][2].ofset", "optimize.n_particle",
+                    "sed")]
+
+
+def test_line_breaks_in_keys_stay_on_one_line(tmp_path, config_dict,
+                                              capsys):
+    config_dict["optimize"]["n\nparticles"] = 40
+    assert main(["validate", "--config", _write(tmp_path, config_dict)]) == \
+        EXIT_OK
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: config: optimize.n\\nparticles: unknown key, ignored"]
+    config_dict["network"]["positions"]["u\u20289"] = [0, 0, 0, 0]
+    assert main(["validate", "--config", _write(tmp_path, config_dict)]) == \
+        EXIT_INVALID
+    assert capsys.readouterr().err.splitlines() == [
+        "error: config: network.positions.u\\u20289: array of 3 required"]
+
+
+def test_every_section_has_valid_defaults():
+    config = {"seed": 1, "formation": {"root": "l", "edges": []},
+              **{s: {} for s in ("dynamics", "wind", "optimize", "channel",
+                                 "budget", "berdist", "network")}}
+    scenario, violations, unknown = parse_config(config)
+    assert violations == [] and unknown == []
+    assert parse_config({})[0]["berdist"]["data_rate"] == 1e6
+
+
+def test_partial_gains_fill_from_section_default(config_dict):
+    config_dict["dynamics"]["gains"] = {"kp": 5.0}
+    config_dict["formation"]["gains"] = {"kp": 36.0}
+    scenario, violations, _ = parse_config(config_dict)
+    assert violations == []
+    assert scenario["dynamics"]["gains"].kd == 4.0
+    assert scenario["formation"]["gains"].kd == 8.0
+
+
+def test_rayleigh_ber_theory_follows_fading(tmp_path, config_dict):
+    config_dict["channel"]["fading"] = {"kind": "rayleigh"}
+    config_dict["channel"]["n_bits"] = 2000
+    config_dict["channel"]["sweep"]["n"] = 50
+    path = _write(tmp_path, config_dict)
+    out = tmp_path / "out"
+    assert main(["channel", "--config", path, "--out", str(out)]) == EXIT_OK
+    header, first, *_ = (out / "ber.csv").read_text().splitlines()
+    row = dict(zip(header.split(","), first.split(",")))
+    assert row["ebn0_db"] == "0"
+    assert float(row["ber_theory"]) == pytest.approx(0.14645, abs=5e-6)
+
+
+def _tree_paths(node, prefix=()):
+    if prefix:
+        yield prefix
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _tree_paths(child, (*prefix, key))
+
+
+REFERENCE_PATHS = list(_tree_paths(json.loads(REPO_CONFIG.read_text())))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=4),
+    lambda items: st.lists(items, max_size=4)
+    | st.dictionaries(st.text(max_size=4), items, max_size=4),
+    max_leaves=6)
+OUT_OF_RANGE = st.sampled_from([0, -1, 1, 3, -0.5, 1e300, -1e300, 10 ** 400,
+                                2 ** 63, float("nan"), float("inf")])
+
+
+@st.composite
+def mutated_reference(draw):
+    """configs/reference.json with one field deleted, retyped, resized or
+    set out of range."""
+    config = json.loads(REPO_CONFIG.read_text())
+    *parents, key = draw(st.sampled_from(REFERENCE_PATHS))
+    parent = functools.reduce(operator.getitem, parents, config)
+    old = parent[key]
+    how = draw(st.sampled_from(("delete", "retype", "resize", "range")))
+    if how == "delete":
+        del parent[key]
+    elif how == "resize" and isinstance(old, list) and old:
+        parent[key] = old[:-1] if draw(st.booleans()) else old + old[-1:]
+    elif how == "range":
+        parent[key] = draw(OUT_OF_RANGE)
+    else:
+        parent[key] = draw(JSON_VALUES)
+    return config
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_reference())
+def test_validate_fuzz_never_escapes(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main(["validate", "--config", str(path)])
+    lines = err.getvalue().splitlines()
+    assert code in (EXIT_OK, EXIT_INVALID)
+    if code == EXIT_INVALID:
+        assert len(lines) == 1 and lines[0].startswith("error: config: ")
+    else:
+        assert all(line.startswith("warning: config: ") for line in lines)
