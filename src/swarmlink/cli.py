@@ -61,11 +61,11 @@ def _load_config(path: str, seed: int | None = None):
     try:
         config = json.loads(Path(path).read_text())
     except OSError as exc:
-        raise ConfigError(f"config: unreadable ({exc})") from exc
+        raise ConfigError(f"unreadable ({exc})") from exc
     except (ValueError, RecursionError) as exc:
-        raise ConfigError(f"config: invalid JSON ({exc})") from exc
+        raise ConfigError(f"invalid JSON ({exc})") from exc
     if not isinstance(config, dict):
-        raise ConfigError("config: top level must be an object")
+        raise ConfigError("top level must be an object")
     if seed is not None:
         config["seed"] = seed
     return parse_config(config)
@@ -262,7 +262,12 @@ _CHECKS = {"dt": (lambda dt: dt > 0, "must be > 0"),
            "optimize.algorithm": (_OPTIMIZERS.__contains__,
                                   f"one of {', '.join(_OPTIMIZERS)}"),
            "optimize.function": (_FITNESS.__contains__,
-                                 f"one of {', '.join(_FITNESS)}")}
+                                 f"one of {', '.join(_FITNESS)}"),
+           **dict.fromkeys(("channel.sweep.d_min", "channel.sweep.d_max",
+                            "berdist.d_min", "berdist.d_max"),
+                           (lambda d: d > 0, "must be > 0")),
+           **dict.fromkeys(("network.n_uavs", "network.n_groups"),
+                           (lambda n: n >= 1, "must be >= 1"))}
 _UAV = UavParams(mass=1.0, thrust_coeff=1e-5)
 _LINK = channel.LinkParams(tx_power=50.0, wavelength=0.125, distance=2000.0)
 _VEC3 = (0.0, 0.0, 0.0)
@@ -381,11 +386,12 @@ def run_formation(scenario: dict, out: Path) -> list[Path]:
     trace = simulate.simulate_formation(
         leader_path, roles, initial, section["gains"], section["params"],
         scenario["dt"], scenario["duration"])
-    rows = []
-    for k, t in enumerate(trace.times):
-        rows.append((t, roles.root_id, *trace.leader_positions[k]))
-        for f in sorted(trace.follower_positions):
-            rows.append((t, f, *trace.follower_positions[f][k]))
+    ids = [roles.root_id, *sorted(trace.follower_positions)]
+    # (tick, id, xyz), converted to Python floats in one call
+    frames = np.stack([trace.leader_positions, *(
+        trace.follower_positions[f] for f in ids[1:])], axis=1).tolist()
+    rows = [(t, uav, *p) for t, frame in zip(trace.times.tolist(), frames)
+            for uav, p in zip(ids, frame)]
     return [_write_csv(out / "poses.csv", ["t", "id", "x", "y", "z"], rows)]
 
 

@@ -2,7 +2,9 @@
 PD/PID control primitives.
 
 All functions are pure: they take value types and return new values, so they
-are safe to call from any number of threads.
+are safe to call from any number of threads. :func:`step_states` advances N
+bodies held as (N, 3) arrays in one pass; :func:`step_state` is the same
+code on one :class:`UavState`.
 """
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ __all__ = [
     "rotor_spin_dynamics",
     "rigid_body_accel",
     "step_state",
+    "step_states",
     "pid_control",
     "hover_rotor_speed",
 ]
@@ -45,6 +48,9 @@ class UavState:
 
     ``euler`` is ordered (yaw, pitch, roll) about the z, y and x axes.
     Angles are kept in (-pi, pi]; rotor speeds are non-negative rad/s.
+    ``rotor_speeds`` is carried as given: :func:`step_state` never advances
+    it, and the batched state of :func:`step_states` (and so of the
+    formation loop) does not hold it.
     """
 
     position: np.ndarray
@@ -150,6 +156,24 @@ def rotor_spin_dynamics(params: UavParams, omega: float, motor_torque: float,
     return (motor_torque - drag) / params.rotor_inertia
 
 
+def _linear_accels(euler: np.ndarray, thrust: np.ndarray,
+                   params: UavParams) -> np.ndarray:
+    """World-frame linear accelerations of N bodies, shape (N, 3).
+
+    ``euler`` is (N, 3) (yaw, pitch, roll) and ``thrust`` is (N,), or (3,)
+    and a scalar for one body: each body's thrust acts along its z axis
+    under the ZYX rotation, minus gravity.
+    """
+    psi, theta, phi = euler.T
+    sps, sth, sph = np.sin(psi), np.sin(theta), np.sin(phi)
+    cps, cth, cph = np.cos(psi), np.cos(theta), np.cos(phi)
+    u, m = thrust, params.mass
+    ax = u * (sph * sps + cph * cps * sth) / m
+    ay = u * (cph * sth * sps - cps * sph) / m
+    az = u * cth * cph / m - params.gravity
+    return np.array([ax, ay, az]).T
+
+
 def rigid_body_accel(state: UavState, control: ControlInput,
                      params: UavParams):
     """Linear and angular accelerations of the quadrotor body.
@@ -157,31 +181,39 @@ def rigid_body_accel(state: UavState, control: ControlInput,
     Returns ``(linear_accel, angular_accel)`` where the angular part is the
     commanded moments applied directly to the Euler-angle accelerations.
     """
-    u = control.total_thrust
-    psi, theta, phi = state.euler
-    m = params.mass
-    ax = u * (math.sin(phi) * math.sin(psi)
-              + math.cos(phi) * math.cos(psi) * math.sin(theta)) / m
-    ay = u * (math.cos(phi) * math.sin(theta) * math.sin(psi)
-              - math.cos(psi) * math.sin(phi)) / m
-    az = u * math.cos(theta) * math.cos(phi) / m - params.gravity
-    return np.array([ax, ay, az]), control.moments.copy()
+    return (_linear_accels(state.euler, control.total_thrust, params),
+            control.moments.copy())
+
+
+def step_states(position, velocity, euler, euler_rates, thrust, moments,
+                params: UavParams, dt: float):
+    """Advance N bodies by one semi-implicit Euler step of length ``dt``.
+
+    State arrays are (N, 3), ``thrust`` is (N,) and ``moments`` is (N, 3);
+    one body may be given as (3,) arrays and a scalar thrust. Velocities
+    are updated first, then positions/angles use the new velocities.
+    Returns new ``(position, velocity, euler, euler_rates)``. Rows are
+    independent: row i equals :func:`step_state` on row i.
+    """
+    if dt <= 0:
+        raise ValueError("dt must be > 0")
+    velocity = velocity + _linear_accels(euler, thrust, params) * dt
+    euler_rates = euler_rates + moments * dt
+    position = position + velocity * dt
+    euler = normalize_angle(euler + euler_rates * dt)
+    return position, velocity, euler, euler_rates
 
 
 def step_state(state: UavState, control: ControlInput, params: UavParams,
                dt: float) -> UavState:
     """Advance the state by one semi-implicit Euler step of length ``dt``.
 
-    Velocities are updated first, then positions/angles use the new
-    velocities. Deterministic: identical inputs give bit-identical outputs.
+    :func:`step_states` on one body. Deterministic: identical inputs give
+    bit-identical outputs.
     """
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    lin_acc, ang_acc = rigid_body_accel(state, control, params)
-    velocity = state.velocity + lin_acc * dt
-    euler_rates = state.euler_rates + ang_acc * dt
-    position = state.position + velocity * dt
-    euler = normalize_angle(state.euler + euler_rates * dt)
+    position, velocity, euler, euler_rates = step_states(
+        state.position, state.velocity, state.euler, state.euler_rates,
+        control.total_thrust, control.moments, params, dt)
     return replace(state, position=position, velocity=velocity,
                    euler=euler, euler_rates=euler_rates)
 

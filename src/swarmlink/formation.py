@@ -7,6 +7,14 @@ by rotating the offset about the vertical axis by the leader's heading).
 Role assignment is a directed tree of (leader, follower) edges; the
 movement layer turns a pose target into a thrust/moment command for the
 dynamics module.
+
+The kernels work on N followers at once: :class:`TargetPlan` holds the
+role tree as arrays and :meth:`TargetPlan.targets` fills it one depth
+level at a time through :func:`follower_targets`, and
+:func:`movement_steps` commands every follower in one pass. The Pose and
+UavState functions (:func:`fgd_target`, :func:`df_target`,
+:func:`formation_targets`, :func:`movement_step`) run the same kernels on
+one row.
 """
 from __future__ import annotations
 
@@ -25,10 +33,13 @@ __all__ = [
     "Pose",
     "FormationSpec",
     "RoleGraph",
+    "TargetPlan",
+    "follower_targets",
     "fgd_target",
     "df_target",
     "formation_targets",
     "movement_step",
+    "movement_steps",
 ]
 
 
@@ -90,6 +101,10 @@ class RoleGraph:
             raise ValueError("every follower must have exactly one leader")
         if self.root_id in followers:
             raise ValueError("root must not follow anyone")
+        outside = {l for l, _, _ in edges} - {self.root_id, *followers}
+        if outside:
+            raise ValueError(f"leaders {sorted(outside)} are neither the "
+                             "root nor a follower")
         self.topological_followers()  # raises on cycles
 
     def topological_followers(self) -> list[str]:
@@ -105,13 +120,42 @@ class RoleGraph:
         return [n for n in order if n in followers]
 
 
+def follower_targets(leader_positions: np.ndarray,
+                     leader_headings: np.ndarray, offsets: np.ndarray,
+                     relative_headings: np.ndarray, df: np.ndarray):
+    """Target poses of N followers from their leaders' poses.
+
+    Rows where ``df`` is set follow Double Fixation: the offset is rotated
+    about the vertical axis by the leader's heading and the heading is
+    fixed relative to the leader's. The other rows follow Fixed Global
+    Difference: the world-frame offset is added and the leader's heading
+    copied. Returns ``(positions (N, 3), headings (N,))``; one follower
+    may be given as (3,) arrays and scalars.
+    """
+    c, s = np.cos(leader_headings), np.sin(leader_headings)
+    ox, oy, oz = offsets.T
+    rotated = np.array([c * ox - s * oy, s * ox + c * oy, oz]).T
+    positions = leader_positions + np.where(df[..., None], rotated, offsets)
+    headings = np.where(df, normalize_angle(leader_headings
+                                            + relative_headings),
+                        leader_headings)
+    return positions, headings
+
+
+def follower_target(leader: Pose, spec: FormationSpec) -> Pose:
+    """:func:`follower_targets` on one follower."""
+    position, heading = follower_targets(
+        leader.position, leader.heading, spec.offset, spec.relative_heading,
+        np.bool_(spec.mode is FormationMode.DOUBLE_FIXATION))
+    return Pose(position=position, heading=heading)
+
+
 def fgd_target(leader: Pose, spec: FormationSpec) -> Pose:
     """Fixed Global Difference target: leader position plus the constant
     world-frame offset; heading copied from the leader."""
     if spec.mode is not FormationMode.FIXED_GLOBAL_DIFFERENCE:
         raise ValueError("spec mode must be FIXED_GLOBAL_DIFFERENCE")
-    return Pose(position=leader.position + spec.offset,
-                heading=leader.heading)
+    return follower_target(leader, spec)
 
 
 def df_target(leader: Pose, spec: FormationSpec) -> Pose:
@@ -120,18 +164,51 @@ def df_target(leader: Pose, spec: FormationSpec) -> Pose:
     follower heading is fixed relative to the leader's."""
     if spec.mode is not FormationMode.DOUBLE_FIXATION:
         raise ValueError("spec mode must be DOUBLE_FIXATION")
-    c, s = math.cos(leader.heading), math.sin(leader.heading)
-    ox, oy, oz = spec.offset
-    rotated = np.array([c * ox - s * oy, s * ox + c * oy, oz])
-    return Pose(position=leader.position + rotated,
-                heading=normalize_angle(leader.heading
-                                        + spec.relative_heading))
+    return follower_target(leader, spec)
 
 
-def follower_target(leader: Pose, spec: FormationSpec) -> Pose:
-    if spec.mode is FormationMode.FIXED_GLOBAL_DIFFERENCE:
-        return fgd_target(leader, spec)
-    return df_target(leader, spec)
+class TargetPlan:
+    """A role tree as arrays, built once per run.
+
+    ``followers`` lists the follower ids by depth, so each depth level is
+    one contiguous block of rows and every leader comes before its
+    followers. Row 0 of the working arrays is the root; follower ``i`` is
+    row ``i + 1``.
+    """
+
+    def __init__(self, roles: RoleGraph):
+        spec_by_follower = {f: (l, s) for l, f, s in roles.edges}
+        order = roles.topological_followers()
+        depth = {roles.root_id: 0}
+        for follower in order:
+            depth[follower] = depth[spec_by_follower[follower][0]] + 1
+        self.followers = sorted(order, key=depth.__getitem__)
+        row = {roles.root_id: 0, **{f: i + 1 for i, f
+                                    in enumerate(self.followers)}}
+        specs = [spec_by_follower[f][1] for f in self.followers]
+        leaders = np.array([row[spec_by_follower[f][0]]
+                            for f in self.followers], dtype=int)
+        offsets = np.array([s.offset for s in specs]).reshape(-1, 3)
+        relative = np.array([s.relative_heading for s in specs], dtype=float)
+        df = np.array([s.mode is FormationMode.DOUBLE_FIXATION
+                       for s in specs], dtype=bool)
+        depths = [depth[f] for f in self.followers]
+        starts = np.searchsorted(depths, range(1, max(depths, default=0) + 2))
+        # (rows, leader rows, offsets, relative headings, DF mask) per level
+        self.levels = [(slice(i + 1, j + 1), leaders[i:j], offsets[i:j],
+                        relative[i:j], df[i:j])
+                       for i, j in zip(starts[:-1], starts[1:])]
+
+    def targets(self, root: Pose):
+        """Every follower's target ``(positions (N, 3), headings (N,))``
+        for the root pose ``root``, in :attr:`followers` order."""
+        n = len(self.followers) + 1
+        positions, headings = np.empty((n, 3)), np.empty(n)
+        positions[0], headings[0] = root.position, root.heading
+        for rows, leaders, offsets, relative, df in self.levels:
+            positions[rows], headings[rows] = follower_targets(
+                positions[leaders], headings[leaders], offsets, relative, df)
+        return positions[1:], headings[1:]
 
 
 def formation_targets(leader_poses: dict[str, Pose],
@@ -140,56 +217,71 @@ def formation_targets(leader_poses: dict[str, Pose],
     the root so chained offsets compose."""
     if roles.root_id not in leader_poses:
         raise ValueError(f"missing pose for root {roles.root_id!r}")
-    poses = dict(leader_poses)
-    spec_by_follower = {f: (l, s) for l, f, s in roles.edges}
-    targets: dict[str, Pose] = {}
-    for follower in roles.topological_followers():
-        leader_id, spec = spec_by_follower[follower]
-        if leader_id not in poses:
-            raise ValueError(f"missing pose for leader {leader_id!r}")
-        target = follower_target(poses[leader_id], spec)
-        targets[follower] = target
-        poses[follower] = target
-    return targets
+    plan = TargetPlan(roles)
+    positions, headings = plan.targets(leader_poses[roles.root_id])
+    return {f: Pose(position=p, heading=h)
+            for f, p, h in zip(plan.followers, positions, headings)}
 
 
-# Attitude inner loop and tilt limit for movement_step. The attitude loop
+# Attitude inner loop and tilt limit for movement_steps. The attitude loop
 # must be much faster than the position loop for the cascade to hold.
 _ATT_KP = 400.0
 _ATT_KD = 40.0
 _MAX_TILT = 0.4
+_ATAN2 = np.frompyfunc(math.atan2, 2, 1)
+
+
+def _atan2(y, x):
+    """math.atan2 elementwise: np.arctan2 differs from it by an ulp on a
+    few percent of inputs."""
+    return np.asarray(_ATAN2(y, x), dtype=float)
+
+
+def movement_steps(position, velocity, euler, euler_rates,
+                   target_positions, target_headings, gains: PidGains,
+                   params: UavParams, dt: float):
+    """PD goal-seeking commands for N followers toward their targets.
+
+    State and target positions are (N, 3) arrays, ``target_headings`` is
+    (N,). The desired horizontal acceleration is rotated into the body's
+    heading frame by the current yaw and mapped to pitch/roll setpoints,
+    which a fast attitude PD loop tracks together with the target heading;
+    altitude is held by a thrust PD loop. Returns ``(thrust (N,),
+    moments (N, 3))``; one follower may be given as (3,) arrays and a
+    scalar heading. Rows are independent: row i equals
+    :func:`movement_step` on row i.
+    """
+    if dt <= 0:
+        raise ValueError("dt must be > 0")
+    err = target_positions - position
+    a_des = gains.kp * err - gains.kd * velocity
+    g = params.gravity
+    az = a_des[..., 2] + g
+    # thrust from the vertical channel; tilt assumed small
+    psi, theta, phi = euler.T
+    u = params.mass * np.maximum(az, 0.0) / np.maximum(
+        np.cos(theta) * np.cos(phi), 0.5)
+    denom = np.maximum(az, 1e-6)
+    # inverse of rigid_body_accel's small-angle thrust projection:
+    # (ax, ay) = g * R(psi) @ (theta, -phi)
+    c, s = np.cos(psi), np.sin(psi)
+    theta_des = _atan2(c * a_des[..., 0] + s * a_des[..., 1], denom)
+    phi_des = _atan2(s * a_des[..., 0] - c * a_des[..., 1], denom)
+    theta_des = np.maximum(np.minimum(theta_des, _MAX_TILT), -_MAX_TILT)
+    phi_des = np.maximum(np.minimum(phi_des, _MAX_TILT), -_MAX_TILT)
+    angle_err = normalize_angle(np.array([target_headings - psi,
+                                          theta_des - theta,
+                                          phi_des - phi]).T)
+    moments = _ATT_KP * angle_err - _ATT_KD * euler_rates
+    return u, moments
 
 
 def movement_step(current: UavState, target: Pose, gains: PidGains,
                   params: UavParams, dt: float) -> ControlInput:
-    """PD goal-seeking command toward ``target``.
-
-    The desired horizontal acceleration is rotated into the body's heading
-    frame by the current yaw and mapped to pitch/roll setpoints, which a
-    fast attitude PD loop tracks together with the target heading;
-    altitude is held by a thrust PD loop.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    err = target.position - current.position
-    a_des = gains.kp * err - gains.kd * current.velocity
-    g = params.gravity
-    az = a_des[2] + g
-    # thrust from the vertical channel; tilt assumed small
-    psi, theta, phi = current.euler
-    u = params.mass * max(az, 0.0) / max(math.cos(theta) * math.cos(phi), 0.5)
-    u = max(u, 0.0)
-    denom = max(az, 1e-6)
-    # inverse of rigid_body_accel's small-angle thrust projection:
-    # (ax, ay) = g * R(psi) @ (theta, -phi)
-    c, s = math.cos(psi), math.sin(psi)
-    theta_des = math.atan2(c * a_des[0] + s * a_des[1], denom)
-    phi_des = math.atan2(s * a_des[0] - c * a_des[1], denom)
-    theta_des = max(-_MAX_TILT, min(_MAX_TILT, theta_des))
-    phi_des = max(-_MAX_TILT, min(_MAX_TILT, phi_des))
-    psi_des = target.heading
-    angle_err = normalize_angle(np.array([psi_des - psi,
-                                          theta_des - theta,
-                                          phi_des - phi]))
-    moments = _ATT_KP * angle_err - _ATT_KD * current.euler_rates
-    return ControlInput(total_thrust=u, moments=moments)
+    """PD goal-seeking command toward ``target``: :func:`movement_steps`
+    on one follower."""
+    thrust, moments = movement_steps(
+        current.position, current.velocity, current.euler,
+        current.euler_rates, target.position, target.heading, gains, params,
+        dt)
+    return ControlInput(total_thrust=float(thrust), moments=moments)

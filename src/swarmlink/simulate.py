@@ -3,8 +3,10 @@ multi-UAV leader-follower formation flight.
 
 The formation simulator advances every follower in lockstep per tick: the
 kinematic leader pose is updated, follower targets are recomputed from the
-role tree, and each follower applies one movement-layer command followed
-by one dynamics step.
+role tree, and every follower applies one movement-layer command followed
+by one dynamics step. The followers are held as (N, 3) arrays, so a tick
+is one pass of each batched kernel (:meth:`TargetPlan.targets`,
+:func:`movement_steps`, :func:`step_states`) whatever N is.
 """
 from __future__ import annotations
 
@@ -12,8 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ControlInput, PidGains, UavParams, UavState, step_state
-from .formation import Pose, RoleGraph, formation_targets, movement_step
+from .dynamics import PidGains, UavParams, UavState, step_state, step_states
+# formation_targets is not called here; bench/inproc.py wraps
+# simulate.formation_targets by name, so the name stays importable from it
+from .formation import (Pose, RoleGraph, TargetPlan,
+                        formation_targets, movement_step, movement_steps)
 
 __all__ = [
     "simulate_position_hold",
@@ -76,30 +81,33 @@ def simulate_formation(leader_path, roles: RoleGraph,
     ``leader_path`` maps time to the root Pose; ``initial_states`` holds
     one UavState per follower id in the role graph.
     """
-    followers = roles.topological_followers()
+    if dt <= 0:
+        raise ValueError("dt must be > 0")
+    plan = TargetPlan(roles)
+    followers = plan.followers
     missing = [f for f in followers if f not in initial_states]
     if missing:
         raise ValueError(f"missing initial states for {missing}")
     n_steps = int(round(duration / dt))
     times = np.arange(n_steps + 1) * dt
-    states = dict(initial_states)
+    start = [initial_states[f] for f in followers]
+    position, velocity, euler, euler_rates = (
+        np.array([getattr(state, name) for state in start]).reshape(-1, 3)
+        for name in ("position", "velocity", "euler", "euler_rates"))
     leader_positions = np.empty((n_steps + 1, 3))
-    follower_positions = {f: np.empty((n_steps + 1, 3)) for f in followers}
-    leader_positions[0] = leader_path(0.0).position
-    for f in followers:
-        follower_positions[f][0] = states[f].position
+    tracks = np.empty((len(followers), n_steps + 1, 3))
+    leader = leader_path(0.0)
+    leader_positions[0], tracks[:, 0] = leader.position, position
     for k in range(n_steps):
-        t = times[k]
-        leader_pose = leader_path(t)
-        poses = {roles.root_id: leader_pose}
-        for f in followers:
-            poses[f] = Pose(position=states[f].position,
-                            heading=float(states[f].euler[0]))
-        targets = formation_targets(poses, roles)
-        for f in followers:
-            control = movement_step(states[f], targets[f], gains, params, dt)
-            states[f] = step_state(states[f], control, params, dt)
-            follower_positions[f][k + 1] = states[f].position
-        leader_positions[k + 1] = leader_path(times[k + 1]).position
+        target_positions, target_headings = plan.targets(leader)
+        thrust, moments = movement_steps(
+            position, velocity, euler, euler_rates, target_positions,
+            target_headings, gains, params, dt)
+        position, velocity, euler, euler_rates = step_states(
+            position, velocity, euler, euler_rates, thrust, moments, params,
+            dt)
+        tracks[:, k + 1] = position
+        leader = leader_path(times[k + 1])
+        leader_positions[k + 1] = leader.position
     return FormationTrace(times=times, leader_positions=leader_positions,
-                          follower_positions=follower_positions)
+                          follower_positions=dict(zip(followers, tracks)))

@@ -392,3 +392,49 @@ def test_validate_fuzz_never_escapes(config):
         assert len(lines) == 1 and lines[0].startswith("error: config: ")
     else:
         assert all(line.startswith("warning: config: ") for line in lines)
+
+
+# (subcommand, field, value): each passed validate and then exited 1 from
+# math.log10 or build_topology without naming the field
+NOT_IN_RANGE = [
+    ("channel", "channel.sweep.d_min", 0),
+    ("channel", "channel.sweep.d_max", -10.0),
+    ("berdist", "berdist.d_min", 0.0),
+    ("berdist", "berdist.d_max", -1),
+    ("network", "network.n_uavs", 0),
+    ("network", "network.n_groups", -2),
+]
+
+
+@pytest.mark.parametrize("subcommand,field,value", NOT_IN_RANGE,
+                         ids=[f"{f}={v!r}" for _, f, v in NOT_IN_RANGE])
+def test_sweep_bounds_and_swarm_sizes_exit_2(tmp_path, config_dict, capsys,
+                                             subcommand, field, value):
+    _set(config_dict, field, value)
+    path = _write(tmp_path, config_dict)
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", path, "--out", str(out)]) == \
+        EXIT_INVALID
+    bound = "> 0" if field.startswith(("channel", "berdist")) else ">= 1"
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: config: {field}: must be {bound}"]
+    assert not out.exists()
+    assert main(["validate", "--config", path]) == EXIT_INVALID
+
+
+def test_unreadable_and_invalid_files_one_prefix(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["validate", "--config", str(missing)]) == EXIT_INVALID
+    assert capsys.readouterr().err.splitlines() == [
+        "error: config: unreadable ([Errno 2] No such file or directory: "
+        f"{str(missing)!r})"]
+    broken = tmp_path / "broken.json"
+    broken.write_text("{")
+    assert main(["validate", "--config", str(broken)]) == EXIT_INVALID
+    assert capsys.readouterr().err.splitlines() == [
+        "error: config: invalid JSON (Expecting property name enclosed in "
+        "double quotes: line 1 column 2 (char 1))"]
+    broken.write_text("[]")
+    assert main(["validate", "--config", str(broken)]) == EXIT_INVALID
+    assert capsys.readouterr().err.splitlines() == [
+        "error: config: top level must be an object"]
