@@ -246,6 +246,25 @@ def _budget(b: dict) -> dict:
     return b
 
 
+def _network(n: dict) -> dict:
+    with _at("network.n_groups"):
+        network.check_groups(n["kind"], n["n_uavs"], n["n_groups"])
+    if n["positions"] is not None:
+        with _at("network.positions"):
+            network.check_positions(n["n_uavs"], n["positions"])
+    for key in ("src", "dst"):
+        if not network.is_node(n["n_uavs"], n[key]):
+            raise ConfigError(f"network.{key}: unknown node {n[key]!r}")
+    return n
+
+
+def _apf(a: dict) -> dict:
+    a["field"] = network.ObstacleField(a["goal"], tuple(a["obstacles"]))
+    with _at("network.apf.start"):
+        a["field"].check_start(a["start"])
+    return a
+
+
 def _berdist(b: dict) -> dict:
     if b["use_reference"]:
         b.update(zip(("link", "data_rate", "noise_power_dbm"),
@@ -267,7 +286,10 @@ _CHECKS = {"dt": (lambda dt: dt > 0, "must be > 0"),
                             "berdist.d_min", "berdist.d_max"),
                            (lambda d: d > 0, "must be > 0")),
            **dict.fromkeys(("network.n_uavs", "network.n_groups"),
-                           (lambda n: n >= 1, "must be >= 1"))}
+                           (lambda n: n >= 1, "must be >= 1")),
+           **dict.fromkeys(("network.link_range", "network.apf.step"),
+                           (lambda x: x > 0, "must be > 0")),
+           "network.apf.max_steps": (lambda n: n >= 0, "must be >= 0")}
 _UAV = UavParams(mass=1.0, thrust_coeff=1e-5)
 _LINK = channel.LinkParams(tx_power=50.0, wavelength=0.125, distance=2000.0)
 _VEC3 = (0.0, 0.0, 0.0)
@@ -313,8 +335,7 @@ DEFAULTS = {
             "start": _VEC3, "goal": (10.0, 0.0, 0.0),
             "obstacles": _many((_VEC3, 1.0), []), "attract_gain": 1.0,
             "repel_gain": 100.0, "influence_radius": 5.0, "step": 0.05,
-            "max_steps": 10000}, lambda a: {**a, "field":
-                network.ObstacleField(a["goal"], tuple(a["obstacles"]))})}),
+            "max_steps": 10000}, _apf)}, _network),
 }
 
 
@@ -507,8 +528,9 @@ def run_network(scenario: dict, out: Path) -> list[Path]:
         trajectory, outcome = network.apf_plan(
             a["start"], a["field"], *gains, step=a["step"],
             max_steps=a["max_steps"])
-        rows = [(k, *p, network._apf_potential(p, a["field"], *gains))
-                for k, p in enumerate(trajectory)]
+        potential = network._apf_potential(trajectory, a["field"], *gains)
+        rows = [(k, *p, v) for k, (p, v) in enumerate(
+            zip(trajectory.tolist(), potential.tolist()))]
         outputs += [_write_csv(out / "apf_trajectory.csv",
                                ["step", "x", "y", "z", "potential"], rows),
                     _write_json(out / "apf_outcome.json",

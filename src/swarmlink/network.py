@@ -3,13 +3,29 @@ representative path planners (Dijkstra, A*, artificial potential field).
 
 Graphs are plain adjacency maps with Euclidean edge costs; all algorithms
 break ties by node id so results are deterministic.
+
+The ad hoc mesh is a fixed-radius range search (Bentley, CACM 1975) over
+the group's positions held as one (n, 3) array: one pass per node takes
+the distances to every later member at once, as ``sqrt(vecdot(d, d))``
+(the same bits as one ``norm(a - b)`` per pair; ``norm(d, axis=1)`` is
+not), and only the pairs in range become edges, added in the order of
+the pair loop they replace. No pair matrix is built. Neighbour ties
+still break by id, because the searches sort each node's neighbours as
+they expand it.
+
+The potential field (Khatib, IJRR 1986) keeps its obstacles as a centre
+array and a radius array. The gradient measures every obstacle in one
+array op and adds the repulsion of those within the influence radius in
+obstacle order; the potential takes a whole trajectory and adds the
+obstacle terms one obstacle at a time over all its points. Both sum in
+the order of the per-obstacle loops, so their results are bitwise those
+of the loops.
 """
 from __future__ import annotations
 
 import enum
 import heapq
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +46,9 @@ __all__ = [
     "astar",
     "grid_graph",
     "apf_plan",
+    "is_node",
+    "check_groups",
+    "check_positions",
 ]
 
 GROUND_STATION_ID = "gs"
@@ -131,9 +150,17 @@ def _split_groups(uav_ids: list[str], n_groups: int) -> list[list[str]]:
 
 def _mesh_in_range(graph: TopologyGraph, members: list[str],
                    link_range: float):
-    for a, b in itertools.combinations(members, 2):
-        if _euclid(graph.positions[a], graph.positions[b]) <= link_range:
-            _add_edge(graph, a, b)
+    pos = np.array([graph.positions[m] for m in members])
+    adjacency = graph.adjacency
+    for k, a in enumerate(members[:-1]):
+        d = pos[k] - pos[k + 1:]
+        dist = np.sqrt(np.vecdot(d, d))
+        hits = np.flatnonzero(dist <= link_range)
+        near = adjacency[a]
+        for j, cost in zip(hits.tolist(), dist[hits].tolist()):
+            b = members[k + 1 + j]
+            near[b] = cost
+            adjacency[b][a] = cost
 
 
 def _require_connected(graph: TopologyGraph, members: list[str],
@@ -156,6 +183,42 @@ def _require_connected(graph: TopologyGraph, members: list[str],
             orphans=orphans)
 
 
+def is_node(n_uavs: int, node: str) -> bool:
+    """Whether ``node`` is ``gs`` or one of ``u0..u{n_uavs-1}``; it lists
+    no ids, so its cost does not grow with ``n_uavs``."""
+    digits = node[1:]
+    return node == GROUND_STATION_ID or (
+        node[:1] == "u" and digits.isascii() and digits.isdigit()
+        and len(digits) <= len(str(n_uavs)) and node == f"u{int(digits)}"
+        and int(digits) < n_uavs)
+
+
+def check_groups(kind: TopologyKind, n_uavs: int, n_groups: int):
+    """Raise ValueError unless ``n_uavs`` UAVs split into ``n_groups``
+    groups for a topology of ``kind``."""
+    if n_uavs < 1 or n_groups < 1:
+        raise ValueError("n_uavs and n_groups must be >= 1")
+    if n_groups > n_uavs:
+        raise ValueError("cannot have more groups than UAVs")
+    if kind is TopologyKind.SINGLE_GROUP_AD_HOC and n_groups != 1:
+        raise ValueError("single-group topology requires n_groups == 1")
+
+
+def check_positions(n_uavs: int, positions):
+    """Raise ValueError naming the first nodes (UAVs in id order, then
+    ``gs``) that ``positions`` leaves out, and how many more there are."""
+    # takes at most len(positions) + 8 steps, however large n_uavs is
+    nodes = itertools.chain(map("u{}".format, range(n_uavs)),
+                            [GROUND_STATION_ID])
+    shown = list(itertools.islice(
+        (n for n in nodes if n not in positions), 8))
+    if shown:
+        more = (n_uavs + 1 - sum(is_node(n_uavs, k) for k in positions)
+                - len(shown))
+        raise ValueError(f"missing positions for {shown}"
+                         + (f" and {more} more" if more else ""))
+
+
 def build_topology(kind: TopologyKind, n_uavs: int, n_groups: int,
                    link_range: float, positions) -> TopologyGraph:
     """Build a swarm topology over ``positions`` (id -> 3-vector).
@@ -164,15 +227,10 @@ def build_topology(kind: TopologyKind, n_uavs: int, n_groups: int,
     have a position. Group meshes connect members within ``link_range``;
     a disconnected group raises :class:`TopologyError` with the orphans.
     """
-    if n_uavs < 1 or n_groups < 1:
-        raise ValueError("n_uavs and n_groups must be >= 1")
-    if n_groups > n_uavs:
-        raise ValueError("cannot have more groups than UAVs")
+    check_groups(kind, n_uavs, n_groups)
+    check_positions(n_uavs, positions)
     positions = {k: np.asarray(v, dtype=float) for k, v in positions.items()}
     uav_ids = [f"u{i}" for i in range(n_uavs)]
-    missing = [n for n in uav_ids + [GROUND_STATION_ID] if n not in positions]
-    if missing:
-        raise ValueError(f"missing positions for {missing}")
     graph = _empty_graph(kind, positions)
 
     if kind is TopologyKind.STAR:
@@ -195,8 +253,6 @@ def build_topology(kind: TopologyKind, n_uavs: int, n_groups: int,
         return graph
 
     if kind is TopologyKind.SINGLE_GROUP_AD_HOC:
-        if n_groups != 1:
-            raise ValueError("single-group topology requires n_groups == 1")
         master, slaves = uav_ids[0], uav_ids[1:]
         _add_node(graph, master, NodeRole.MASTER_UAV)
         for s in slaves:
@@ -406,6 +462,9 @@ class ObstacleField:
         default_factory=lambda: np.full(3, -100.0))
     bounds_upper: np.ndarray = field(
         default_factory=lambda: np.full(3, 100.0))
+    # the obstacles as an (m, 3) centre array and an (m,) radius array
+    centers: np.ndarray = field(init=False, repr=False, compare=False)
+    radii: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "goal", np.asarray(self.goal, dtype=float))
@@ -414,10 +473,27 @@ class ObstacleField:
         if any(r <= 0 for _, r in obstacles):
             raise ValueError("obstacle radii must be > 0")
         object.__setattr__(self, "obstacles", obstacles)
+        object.__setattr__(self, "centers", np.array(
+            [c for c, _ in obstacles]).reshape(-1, 3))
+        object.__setattr__(self, "radii", np.array(
+            [r for _, r in obstacles], dtype=float))
         object.__setattr__(self, "bounds_lower",
                            np.asarray(self.bounds_lower, dtype=float))
         object.__setattr__(self, "bounds_upper",
                            np.asarray(self.bounds_upper, dtype=float))
+
+    def check_start(self, point):
+        """Raise ValueError unless ``point`` is a start for :func:`apf_plan`:
+        inside the bounds and outside every obstacle."""
+        point = np.asarray(point, dtype=float)
+        if np.any(point < self.bounds_lower) or np.any(
+                point > self.bounds_upper):
+            raise ValueError("start must lie inside the bounds")
+        with np.errstate(over="ignore"):   # an infinite distance is clear
+            offsets = point - self.centers
+            inside = np.sqrt(np.vecdot(offsets, offsets)) <= self.radii
+        if inside.any():
+            raise ValueError("start must lie outside every obstacle")
 
 
 def _apf_gradient(point: np.ndarray, fld: ObstacleField, attract_gain: float,
@@ -425,28 +501,34 @@ def _apf_gradient(point: np.ndarray, fld: ObstacleField, attract_gain: float,
     # quadratic attraction; inverse-distance repulsion inside the
     # influence radius, measured from the obstacle surface
     grad = attract_gain * (point - fld.goal)
-    for center, radius in fld.obstacles:
-        offset = point - center
-        dist = float(np.linalg.norm(offset)) - radius
-        if dist <= 0:
-            dist = 1e-9
-        if dist < influence_radius:
-            direction = offset / max(np.linalg.norm(offset), 1e-12)
-            grad += (-repel_gain * (1.0 / dist - 1.0 / influence_radius)
-                     / (dist * dist)) * direction
+    offsets = point - fld.centers
+    norms = np.sqrt(np.vecdot(offsets, offsets))
+    dist = norms - fld.radii
+    dist[dist <= 0] = 1e-9
+    near = dist < influence_radius
+    if near.any():
+        d = dist[near]
+        scale = -repel_gain * (1.0 / d - 1.0 / influence_radius) / (d * d)
+        directions = offsets[near] / np.maximum(norms[near], 1e-12)[:, None]
+        for term in scale[:, None] * directions:
+            grad += term
     return grad
 
 
-def _apf_potential(point: np.ndarray, fld: ObstacleField, attract_gain: float,
-                   repel_gain: float, influence_radius: float) -> float:
-    value = 0.5 * attract_gain * float(np.sum((point - fld.goal) ** 2))
-    for center, radius in fld.obstacles:
-        dist = float(np.linalg.norm(point - center)) - radius
-        if dist <= 0:
-            dist = 1e-9
-        if dist < influence_radius:
-            value += 0.5 * repel_gain * (1.0 / dist
-                                         - 1.0 / influence_radius) ** 2
+def _apf_potential(points: np.ndarray, fld: ObstacleField,
+                   attract_gain: float, repel_gain: float,
+                   influence_radius: float) -> np.ndarray:
+    """Potential at each row of the (n, 3) ``points``, as an (n,) array."""
+    value = 0.5 * attract_gain * np.sum((points - fld.goal) ** 2, axis=1)
+    for center, radius in zip(fld.centers, fld.radii):
+        offsets = points - center
+        dist = np.sqrt(np.vecdot(offsets, offsets)) - radius
+        dist[dist <= 0] = 1e-9
+        near = dist < influence_radius
+        # float_power is libm pow, as Python's float ** 2 is; the square
+        # that ndarray ** 2 computes rounds differently on some values
+        value[near] += 0.5 * repel_gain * np.float_power(
+            1.0 / dist[near] - 1.0 / influence_radius, 2)
     return value
 
 
@@ -461,12 +543,12 @@ def apf_plan(start, fld: ObstacleField, attract_gain: float = 1.0,
     A local minimum is declared when the per-step displacement drops below
     ``stall_tolerance`` while the goal is farther than ``goal_tolerance``.
     """
+    if step <= 0:
+        raise ValueError("step must be > 0")
+    if max_steps < 0:
+        raise ValueError("max_steps must be >= 0")
     point = np.asarray(start, dtype=float).copy()
-    if np.any(point < fld.bounds_lower) or np.any(point > fld.bounds_upper):
-        raise ValueError("start must lie inside the bounds")
-    for center, radius in fld.obstacles:
-        if np.linalg.norm(point - center) <= radius:
-            raise ValueError("start must lie outside every obstacle")
+    fld.check_start(point)
     trajectory = [point.copy()]
     outcome = ApfOutcome.STEP_LIMIT
     for _ in range(max_steps):

@@ -255,6 +255,20 @@ MALFORMED = [
     ("optimize", "optimize.algorithm", "annealing", "optimize.algorithm"),
     ("network", "network.kind", "mesh", "network.kind"),
     ("channel", "channel.link.ground_reflection", 0.5, "channel.link"),
+    ("network", "network.src", "u999", "network.src"),
+    ("network", "network.dst", "u05", "network.dst"),
+    ("network", "network.n_groups", 6, "network.n_groups"),
+    ("network", "network", {"kind": "single_group", "n_groups": 2},
+     "network.n_groups"),
+    ("network", "network.positions", {"gs": [0, 0, 0], "u0": [1, 0, 0]},
+     "network.positions"),
+    ("network", "network.link_range", 0.0, "network.link_range"),
+    ("network", "network.link_range", -100.0, "network.link_range"),
+    ("network", "network.apf.start", [10.0, 1.0, 0.0], "network.apf.start"),
+    ("network", "network.apf.start", [0.0, 0.0, 150.0], "network.apf.start"),
+    ("network", "network.apf.step", -0.1, "network.apf.step"),
+    ("network", "network.apf.step", 0, "network.apf.step"),
+    ("network", "network.apf.max_steps", -1, "network.apf.max_steps"),
 ]
 
 
