@@ -7,7 +7,6 @@ import json
 from pathlib import Path
 from unittest import mock
 
-import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -140,7 +139,13 @@ def test_pairs_at_exactly_link_range_and_duplicates_are_linked():
     assert graph.adjacency["u3"] == {"u1": 5.0, "u2": 5.0}
 
 
-def nx_graph(graph):
+@pytest.fixture(scope="module")
+def nx():
+    """networkx, the graph oracle; only its tests skip where it is absent."""
+    return pytest.importorskip("networkx")
+
+
+def nx_graph(nx, graph):
     g = nx.Graph()
     g.add_nodes_from(graph.roles)
     g.add_weighted_edges_from(graph.edges)
@@ -149,7 +154,8 @@ def nx_graph(graph):
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(2, 40), st.floats(5.0, 60.0), st.integers(0, 2 ** 32 - 1))
-def test_mesh_edges_equal_networkx_geometric_edges(n_uavs, link_range, seed):
+def test_mesh_edges_equal_networkx_geometric_edges(nx, n_uavs, link_range,
+                                                     seed):
     rng = np.random.default_rng(seed)
     positions = {f"u{i}": rng.uniform(-30.0, 30.0, 3) for i in range(n_uavs)}
     positions[GROUND_STATION_ID] = np.zeros(3)
@@ -177,7 +183,7 @@ def test_mesh_edges_equal_networkx_geometric_edges(n_uavs, link_range, seed):
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(list(TopologyKind)), st.integers(2, 30),
        st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
-def test_routes_equal_networkx(kind, n_uavs, n_groups, seed):
+def test_routes_equal_networkx(nx, kind, n_uavs, n_groups, seed):
     if kind is TopologyKind.SINGLE_GROUP_AD_HOC:
         n_groups = 1
     n_groups = min(n_groups, n_uavs)
@@ -188,7 +194,7 @@ def test_routes_equal_networkx(kind, n_uavs, n_groups, seed):
         graph = build_topology(kind, n_uavs, n_groups, 45.0, positions)
     except TopologyError:
         return
-    g = nx_graph(graph)
+    g = nx_graph(nx, graph)
     nodes = graph.nodes
     for _ in range(5):
         src, dst = (nodes[int(i)] for i in rng.integers(len(nodes), size=2))
