@@ -161,13 +161,26 @@ def apply_channel(symbols, fading: FadingParams, ebn0_db: float) -> np.ndarray:
         h = np.ones(symbols.shape)
     else:
         k = fading.rician_k if fading.kind is FadingKind.RICIAN else 0.0
-        scatter = (rng.standard_normal(symbols.shape)
-                   + 1j * rng.standard_normal(symbols.shape)) / math.sqrt(2.0)
-        h = (math.sqrt(k / (k + 1.0))
-             + math.sqrt(1.0 / (k + 1.0)) * scatter)
-    noise = sigma * (rng.standard_normal(symbols.shape)
-                     + 1j * rng.standard_normal(symbols.shape))
-    return (h * symbols + noise) / h
+        h = _complex_normal(rng, symbols.shape)
+        h /= math.sqrt(2.0)
+        h *= math.sqrt(1.0 / (k + 1.0))
+        h += math.sqrt(k / (k + 1.0))
+    # (h * symbols + noise) / h, in place; symbols + noise / h would not
+    # round the same, and n_errors must not move
+    received = _complex_normal(rng, symbols.shape)
+    received *= sigma
+    received += h * symbols
+    received /= h
+    return received
+
+
+def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """``re + 1j * im`` for two successive standard normal draws of
+    ``shape``, filled in place of building it from temporaries."""
+    z = np.empty(shape, dtype=complex)
+    z.real = rng.standard_normal(shape)
+    z.imag = rng.standard_normal(shape)
+    return z
 
 
 def ber_qpsk_awgn_theoretical(ebn0_db) -> float:

@@ -285,7 +285,9 @@ _CHECKS = {"dt": (lambda dt: dt > 0, "must be > 0"),
            **dict.fromkeys(("channel.sweep.d_min", "channel.sweep.d_max",
                             "berdist.d_min", "berdist.d_max"),
                            (lambda d: d > 0, "must be > 0")),
-           **dict.fromkeys(("network.n_uavs", "network.n_groups"),
+           # the build step checks a one-dimensional box, not ``dim``
+           **dict.fromkeys(("optimize.dim", "network.n_uavs",
+                            "network.n_groups"),
                            (lambda n: n >= 1, "must be >= 1")),
            **dict.fromkeys(("network.link_range", "network.apf.step"),
                            (lambda x: x > 0, "must be > 0")),

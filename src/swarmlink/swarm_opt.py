@@ -2,9 +2,11 @@
 particle swarm optimization (PSO), the wolf pack algorithm (WPA) and the
 grey wolf optimizer (GWO).
 
-All three minimize a user-supplied fitness function. Runs are fully
-deterministic for a given seed: the RNG stream is consumed in a fixed
-order regardless of how fitness evaluations are scheduled.
+All three minimize a user-supplied fitness function, called with one
+point at a time. Runs are fully deterministic for a given seed: the RNG
+stream is consumed in a fixed order regardless of how fitness evaluations
+are scheduled, and each GWO step draws all of its random numbers in one
+call, in the order of a per-wolf, per-leader loop.
 """
 from __future__ import annotations
 
@@ -33,17 +35,18 @@ Fitness = Callable[[np.ndarray], float]
 
 
 def sphere(x: np.ndarray) -> float:
-    return float(np.sum(np.asarray(x) ** 2))
+    return float((np.asarray(x) ** 2).sum())
 
 
 def rastrigin(x: np.ndarray) -> float:
     x = np.asarray(x)
-    return float(10.0 * x.size + np.sum(x ** 2 - 10.0 * np.cos(2 * np.pi * x)))
+    return float(10.0 * x.size + (x ** 2 - 10.0 * np.cos(2 * np.pi * x)).sum())
 
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """Axis-aligned box of feasible solutions."""
+    """Axis-aligned box of feasible solutions: at least one dimension,
+    finite bounds and a finite extent on every axis."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -53,8 +56,16 @@ class SearchSpace:
         upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
         if lower.shape != upper.shape or lower.ndim != 1:
             raise ValueError("lower and upper must be 1-D and the same shape")
+        if lower.size == 0:
+            raise ValueError("the box needs at least one dimension")
         if not np.all(lower < upper):
             raise ValueError("lower must be < upper componentwise")
+        # inf or nan unless both bounds are finite and the extent fits a
+        # float; sample() draws over the extent
+        with np.errstate(over="ignore", invalid="ignore"):
+            extent = upper - lower
+        if not np.all(np.isfinite(extent)):
+            raise ValueError("lower, upper and upper - lower must be finite")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
 
@@ -67,7 +78,8 @@ class SearchSpace:
         return self.upper - self.lower
 
     def clamp(self, positions: np.ndarray) -> np.ndarray:
-        return np.clip(positions, self.lower, self.upper)
+        # the method np.clip dispatches to, without its wrapper layers
+        return positions.clip(self.lower, self.upper)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.uniform(self.lower, self.upper, size=(n, self.dim))
@@ -227,23 +239,20 @@ def gwo_step(positions: np.ndarray, alpha: np.ndarray, beta: np.ndarray,
 
     Per wolf and leader: D = |C*X_leader - X|, X_i = X_leader - A*D with
     A = 2*a*r1 - a and C = 2*r2; the new position is the mean of the three
-    leader-anchored points.
+    leader-anchored points. One ``rng.uniform`` call draws every r1 and r2
+    of the step, shaped (wolf, leader, r1/r2, dim), so the stream is
+    consumed as by a loop over wolves, then leaders (alpha, beta, delta),
+    drawing r1 then r2 for each.
     """
     if not 0.0 <= a <= 2.0:
         raise ValueError("a must be in [0, 2]")
-    new = np.empty_like(positions)
-    leaders = (alpha, beta, delta)
-    for i, x in enumerate(positions):
-        anchors = []
-        for leader in leaders:
-            r1 = rng.uniform(size=x.shape)
-            r2 = rng.uniform(size=x.shape)
-            big_a = 2.0 * a * r1 - a
-            big_c = 2.0 * r2
-            d = np.abs(big_c * leader - x)
-            anchors.append(leader - big_a * d)
-        new[i] = (anchors[0] + anchors[1] + anchors[2]) / 3.0
-    return new
+    leaders = np.stack((alpha, beta, delta))
+    r = rng.uniform(size=(len(positions), 3, 2, *positions.shape[1:]))
+    big_a = 2.0 * a * r[:, :, 0] - a
+    big_c = 2.0 * r[:, :, 1]
+    d = np.abs(big_c * leaders - positions[:, None])
+    anchors = leaders - big_a * d
+    return (anchors[:, 0] + anchors[:, 1] + anchors[:, 2]) / 3.0
 
 
 def gwo_optimize(fitness: Fitness, space: SearchSpace,
@@ -312,7 +321,7 @@ def wpa_optimize(fitness: Fitness, space: SearchSpace,
             # scouting: directed probes, keep the first improving one
             for _ in range(config.scout_max_repeats):
                 direction = rng.standard_normal(dim)
-                norm = np.linalg.norm(direction)
+                norm = math.sqrt(direction.dot(direction))
                 if norm == 0:
                     continue
                 probe = space.clamp(positions[i] + scout_step * direction / norm)
@@ -325,7 +334,7 @@ def wpa_optimize(fitness: Fitness, space: SearchSpace,
             # calling: run toward the lead until within distance_threshold
             while values[i] >= values[lead]:
                 gap = positions[lead] - positions[i]
-                dist = np.linalg.norm(gap)
+                dist = math.sqrt(gap.dot(gap))
                 if dist <= config.distance_threshold:
                     break
                 move = min(call_step, dist)
@@ -333,7 +342,7 @@ def wpa_optimize(fitness: Fitness, space: SearchSpace,
                 values[i] = fitness(positions[i])
             # besieging: one small random step around the prey (lead)
             direction = rng.standard_normal(dim)
-            norm = np.linalg.norm(direction)
+            norm = math.sqrt(direction.dot(direction))
             if norm > 0:
                 probe = space.clamp(positions[i] + besiege_step * direction / norm)
                 y = fitness(probe)

@@ -269,6 +269,9 @@ MALFORMED = [
     ("network", "network.apf.step", -0.1, "network.apf.step"),
     ("network", "network.apf.step", 0, "network.apf.step"),
     ("network", "network.apf.max_steps", -1, "network.apf.max_steps"),
+    ("optimize", "optimize.dim", 0, "optimize.dim"),
+    ("optimize", "optimize.dim", -1, "optimize.dim"),
+    ("optimize", "optimize", {"lower": -1e308, "upper": 1e308}, "optimize"),
 ]
 
 

@@ -165,3 +165,12 @@ def test_config_validation():
         WpaConfig(renew_fraction=1.0)
     with pytest.raises(ValueError):
         WpaConfig(step_coeff=0.0)
+
+
+@pytest.mark.parametrize("lower,upper", [
+    ([], []), (np.zeros(0), np.zeros(0)),
+    ([-1e308], [1e308]), ([-np.inf], [0.0]), ([0.0], [np.inf]),
+    ([0.0, -1e308], [1.0, 1e308])])
+def test_search_space_rejects_empty_and_unbounded_boxes(lower, upper):
+    with pytest.raises(ValueError):
+        SearchSpace(lower=lower, upper=upper)
