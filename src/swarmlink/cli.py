@@ -29,6 +29,7 @@ from .formation import (FormationMode, FormationSpec, Pose, RoleGraph,
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INVALID = 2
+_BLOCK_ROWS = 8192   # rows that _write_csv formats per write
 
 
 class ConfigError(ValueError):
@@ -40,19 +41,23 @@ def derive_seed(seed: int, tag: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _write_csv(path: Path, header: list[str], rows) -> Path:
-    lines = [",".join(header), *(",".join(map(_fmt, row)) for row in rows)]
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, header: list[str], *columns) -> Path:
+    """Write ``columns`` (arrays, ranges or lists of Python values) under
+    ``header``; a cell is str() of its Python value."""
+    with path.open("w") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(columns[0]), _BLOCK_ROWS):
+            block = (c[start:start + _BLOCK_ROWS] for c in columns)
+            cells = [map(str, c.tolist() if isinstance(c, np.ndarray) else c)
+                     for c in block]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
     return path
 
 
-def _fmt(value) -> str:
-    # float() drops numpy's np.float64(...) repr wrapper
-    return repr(float(value)) if isinstance(value, float) else str(value)
-
-
 def _write_json(path: Path, payload) -> Path:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with path.open("w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     return path
 
 
@@ -217,6 +222,15 @@ def _optimize(o: dict) -> dict:
     default = _OPTIMIZERS[o["algorithm"]]
     # one-dimensional, so that validating allocates nothing per ``dim``
     swarm_opt.SearchSpace(lower=o["lower"], upper=o["upper"])
+    # at the box's farthest corner the fitness is dim equal terms; dim may
+    # be an int too large for a float, so it is only compared
+    far = max(("upper", "lower"), key=lambda k: abs(o[k]))
+    with np.errstate(over="ignore"):
+        term = _FITNESS[o["function"]](np.array([float(o[far])]))
+    if not (term == 0 or o["dim"] <= sys.float_info.max / term):
+        key = far if math.isinf(term) else "dim"
+        raise ConfigError(f"optimize.{key}: {o['function']} is not finite at "
+                          "the farthest corner of the box")
     o["config"] = replace(default, **{
         key: o[key] for key in _SWARM_SIZES
         if key in _fields(default) and o[key] is not _ABSENT})
@@ -291,7 +305,9 @@ _CHECKS = {"dt": (lambda dt: dt > 0, "must be > 0"),
                            (lambda n: n >= 1, "must be >= 1")),
            **dict.fromkeys(("network.link_range", "network.apf.step"),
                            (lambda x: x > 0, "must be > 0")),
-           "network.apf.max_steps": (lambda n: n >= 0, "must be >= 0")}
+           **dict.fromkeys(("wind.n_omega", "channel.sweep.n", "berdist.n",
+                            "network.apf.max_steps"),
+                           (lambda n: n >= 0, "must be >= 0"))}
 _UAV = UavParams(mass=1.0, thrust_coeff=1e-5)
 _LINK = channel.LinkParams(tx_power=50.0, wavelength=0.125, distance=2000.0)
 _VEC3 = (0.0, 0.0, 0.0)
@@ -367,7 +383,7 @@ def run_dynamics(scenario: dict, out: Path) -> list[Path]:
         Pose(position=section["target_position"]), section["gains"],
         section["params"], scenario["dt"], scenario["duration"])
     return [_write_csv(out / "flight_trace.csv", ["t", "x", "y", "z"],
-                       ((t, *p) for t, p in zip(times, positions)))]
+                       times, *positions.T)]
 
 
 def run_wind(scenario: dict, out: Path) -> list[Path]:
@@ -379,10 +395,10 @@ def run_wind(scenario: dict, out: Path) -> list[Path]:
         spec, component, section["sample_spacing"], section["n_samples"],
         derive_seed(scenario["seed"], "wind"))
     return [_write_csv(out / "psd.csv", ["omega", "dryden", "von_karman"],
-                       zip(omega, wind.dryden_psd(spec, component, omega),
-                           wind.von_karman_psd(spec, component, omega))),
+                       omega, wind.dryden_psd(spec, component, omega),
+                       wind.von_karman_psd(spec, component, omega)),
             _write_csv(out / "series.csv", ["index", "gust"],
-                       enumerate(series))]
+                       range(len(series)), series)]
 
 
 def run_optimize(scenario: dict, out: Path) -> list[Path]:
@@ -395,7 +411,8 @@ def run_optimize(scenario: dict, out: Path) -> list[Path]:
     run = getattr(swarm_opt, f"{algorithm}_optimize")(
         _FITNESS[section["function"]], space, config)
     return [_write_csv(out / f"convergence_{algorithm}.csv",
-                       ["iteration", "best_value"], enumerate(run.trace))]
+                       ["iteration", "best_value"], range(len(run.trace)),
+                       run.trace)]
 
 
 def run_formation(scenario: dict, out: Path) -> list[Path]:
@@ -410,12 +427,11 @@ def run_formation(scenario: dict, out: Path) -> list[Path]:
         leader_path, roles, initial, section["gains"], section["params"],
         scenario["dt"], scenario["duration"])
     ids = [roles.root_id, *sorted(trace.follower_positions)]
-    # (tick, id, xyz), converted to Python floats in one call
-    frames = np.stack([trace.leader_positions, *(
-        trace.follower_positions[f] for f in ids[1:])], axis=1).tolist()
-    rows = [(t, uav, *p) for t, frame in zip(trace.times.tolist(), frames)
-            for uav, p in zip(ids, frame)]
-    return [_write_csv(out / "poses.csv", ["t", "id", "x", "y", "z"], rows)]
+    positions = np.stack([trace.leader_positions, *(
+        trace.follower_positions[f] for f in ids[1:])], axis=1)
+    return [_write_csv(out / "poses.csv", ["t", "id", "x", "y", "z"],
+                       np.repeat(trace.times, len(ids)),
+                       ids * len(trace.times), *positions.reshape(-1, 3).T)]
 
 
 def run_channel(scenario: dict, out: Path) -> list[Path]:
@@ -424,23 +440,24 @@ def run_channel(scenario: dict, out: Path) -> list[Path]:
     d = np.logspace(math.log10(sweep["d_min"]), math.log10(sweep["d_max"]),
                     sweep["n"])
     sweep_path = _write_csv(
-        out / "power_sweep.csv", ["d", "pr_friis_dbm", "pr_tworay_dbm"],
-        zip(d, channel.watts_to_dbm(channel.friis_received_power(link, d)),
-            channel.watts_to_dbm(channel.two_ray_received_power(link, d))))
+        out / "power_sweep.csv", ["d", "pr_friis_dbm", "pr_tworay_dbm"], d,
+        channel.watts_to_dbm(channel.friis_received_power(link, d)),
+        channel.watts_to_dbm(channel.two_ray_received_power(link, d)))
     fading = replace(section["fading"],
                      seed=derive_seed(scenario["seed"], "channel"))
+    ebn0 = section["ebn0_db"]
+    mc = [channel.ber_monte_carlo(fading, e, section["n_bits"]) for e in ebn0]
     ber_path = _write_csv(
         out / "ber.csv", ["ebn0_db", "ber_theory", "ber_mc", "n_errors"],
-        [(e, float(channel.ber_qpsk_theoretical(fading, e)),
-          *channel.ber_monte_carlo(fading, e, section["n_bits"]))
-         for e in section["ebn0_db"]])
+        ebn0, [float(channel.ber_qpsk_theoretical(fading, e)) for e in ebn0],
+        [ber for ber, _ in mc], [n for _, n in mc])
     const_bits = np.random.default_rng(fading.seed).integers(0, 2, size=1024)
     symbols = channel.qpsk_modulate(const_bits)
     received = channel.apply_channel(symbols, fading,
                                      section["constellation_ebn0_db"])
     return [sweep_path, ber_path,
-            _write_csv(out / "constellation.csv", ["i", "q"],
-                       zip(received.real, received.imag))]
+            _write_csv(out / "constellation.csv", ["i", "q"], received.real,
+                       received.imag)]
 
 
 def _budget_report_text(budget) -> str:
@@ -503,7 +520,7 @@ def run_berdist(scenario: dict, out: Path) -> list[Path]:
         formula=formula)
     columns = ["distance_m", "pr_dbm", "ebn0_db", "ber"]
     return [_write_csv(out / "berdist.csv", columns,
-                       zip(*(curve[c] for c in columns)))]
+                       *(curve[c] for c in columns))]
 
 
 def run_network(scenario: dict, out: Path) -> list[Path]:
@@ -521,7 +538,7 @@ def run_network(scenario: dict, out: Path) -> list[Path]:
         _write_json(out / "topology.json", {
             "kind": graph.kind.value,
             "nodes": {n: graph.roles[n].value for n in graph.nodes},
-            "edges": [[a, b, cost] for a, b, cost in graph.edges]}),
+            "edges": graph.edges}),
         _write_json(out / "comparison.json", network.compare_propagation(
             graph, section["src"], section["dst"]))]
     a = section["apf"]
@@ -531,10 +548,10 @@ def run_network(scenario: dict, out: Path) -> list[Path]:
             a["start"], a["field"], *gains, step=a["step"],
             max_steps=a["max_steps"])
         potential = network._apf_potential(trajectory, a["field"], *gains)
-        rows = [(k, *p, v) for k, (p, v) in enumerate(
-            zip(trajectory.tolist(), potential.tolist()))]
         outputs += [_write_csv(out / "apf_trajectory.csv",
-                               ["step", "x", "y", "z", "potential"], rows),
+                               ["step", "x", "y", "z", "potential"],
+                               range(len(trajectory)), *trajectory.T,
+                               potential),
                     _write_json(out / "apf_outcome.json",
                                 {"outcome": outcome.value})]
     return outputs

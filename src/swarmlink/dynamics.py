@@ -47,29 +47,19 @@ class UavState:
     """Full rigid-body state of one quadrotor.
 
     ``euler`` is ordered (yaw, pitch, roll) about the z, y and x axes.
-    Angles are kept in (-pi, pi]; rotor speeds are non-negative rad/s.
-    ``rotor_speeds`` is carried as given: :func:`step_state` never advances
-    it, and the batched state of :func:`step_states` (and so of the
-    formation loop) does not hold it.
+    Angles are kept in (-pi, pi].
     """
 
     position: np.ndarray
     velocity: np.ndarray
     euler: np.ndarray
     euler_rates: np.ndarray
-    rotor_speeds: np.ndarray = field(default_factory=lambda: np.zeros(4))
 
     def __post_init__(self):
         object.__setattr__(self, "position", _vec3(self.position))
         object.__setattr__(self, "velocity", _vec3(self.velocity))
         object.__setattr__(self, "euler", normalize_angle(_vec3(self.euler)))
         object.__setattr__(self, "euler_rates", _vec3(self.euler_rates))
-        speeds = np.asarray(self.rotor_speeds, dtype=float)
-        if speeds.shape != (4,):
-            raise ValueError("rotor_speeds must be a 4-vector")
-        if np.any(speeds < 0):
-            raise ValueError("rotor speeds must be non-negative")
-        object.__setattr__(self, "rotor_speeds", speeds)
 
     @classmethod
     def at_rest(cls, position=(0.0, 0.0, 0.0)) -> "UavState":

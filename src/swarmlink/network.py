@@ -252,17 +252,7 @@ def build_topology(kind: TopologyKind, n_uavs: int, n_groups: int,
                 _add_edge(graph, s, master)
         return graph
 
-    if kind is TopologyKind.SINGLE_GROUP_AD_HOC:
-        master, slaves = uav_ids[0], uav_ids[1:]
-        _add_node(graph, master, NodeRole.MASTER_UAV)
-        for s in slaves:
-            _add_node(graph, s, NodeRole.SLAVE_UAV)
-        _mesh_in_range(graph, uav_ids, link_range)
-        _require_connected(graph, uav_ids, "ad hoc group")
-        _add_edge(graph, master, GROUND_STATION_ID)
-        return graph
-
-    # multi-group and multi-layer share the per-group meshes
+    # the ad hoc kinds share the per-group meshes (single-group has one)
     for group in groups:
         master, slaves = group[0], group[1:]
         _add_node(graph, master, NodeRole.MASTER_UAV)
@@ -271,7 +261,8 @@ def build_topology(kind: TopologyKind, n_uavs: int, n_groups: int,
         _mesh_in_range(graph, group, link_range)
         _require_connected(graph, group, "ad hoc group")
 
-    if kind is TopologyKind.MULTI_GROUP_AD_HOC:
+    if kind in (TopologyKind.SINGLE_GROUP_AD_HOC,
+                TopologyKind.MULTI_GROUP_AD_HOC):
         for master in masters:
             _add_edge(graph, master, GROUND_STATION_ID)
         return graph

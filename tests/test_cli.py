@@ -272,6 +272,12 @@ MALFORMED = [
     ("optimize", "optimize.dim", 0, "optimize.dim"),
     ("optimize", "optimize.dim", -1, "optimize.dim"),
     ("optimize", "optimize", {"lower": -1e308, "upper": 1e308}, "optimize"),
+    ("optimize", "optimize", {"algorithm": "gwo", "lower": -1e300,
+                              "upper": 1e300}, "optimize.upper"),
+    ("optimize", "optimize.dim", 10 ** 309, "optimize.dim"),
+    ("wind", "wind.n_omega", -1, "wind.n_omega"),
+    ("channel", "channel.sweep.n", -1, "channel.sweep.n"),
+    ("berdist", "berdist.n", -1, "berdist.n"),
 ]
 
 
