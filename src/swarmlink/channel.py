@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,8 @@ __all__ = [
 ]
 
 # Gray map: bit pair (b0, b1) -> (I, Q) signs, unit symbol energy.
-_SCALE = 1.0 / math.sqrt(2.0)
+_QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / math.sqrt(2.0)
+_BLOCK = 1 << 16   # symbols per block of the streamed Monte Carlo
 
 # math.erfc over scalars or arrays, so numpy stays the only runtime
 # dependency.
@@ -129,18 +130,24 @@ def qpsk_modulate(bits) -> np.ndarray:
         raise ValueError("bit count must be even")
     if np.any((bits != 0) & (bits != 1)):
         raise ValueError("bits must be 0 or 1")
-    i = 1.0 - 2.0 * bits[0::2]
-    q = 1.0 - 2.0 * bits[1::2]
-    return _SCALE * (i + 1j * q)
+    return _QPSK[2 * bits[0::2] + bits[1::2]]
 
 
 def qpsk_demodulate(symbols) -> np.ndarray:
     """Minimum-distance (sign) decisions inverse to :func:`qpsk_modulate`."""
-    symbols = np.asarray(symbols, dtype=complex)
-    bits = np.empty(2 * symbols.size, dtype=int)
-    bits[0::2] = symbols.real < 0
-    bits[1::2] = symbols.imag < 0
-    return bits
+    symbols = np.ascontiguousarray(symbols, dtype=complex)
+    return (symbols.view(float) < 0).astype(int)
+
+
+def noise_sigma(ebn0_db: float) -> float:
+    """Noise deviation per quadrature at ``ebn0_db`` (Es/N0 = 2 Eb/N0)."""
+    try:
+        sigma = math.sqrt(1.0 / (2.0 * (2.0 * 10.0 ** (ebn0_db / 10.0))))
+    except (OverflowError, ZeroDivisionError):
+        sigma = 0.0
+    if not 0.0 < sigma < math.inf:
+        raise ValueError("Eb/N0 gives no finite positive noise level")
+    return sigma
 
 
 def apply_channel(symbols, fading: FadingParams, ebn0_db: float) -> np.ndarray:
@@ -154,31 +161,36 @@ def apply_channel(symbols, fading: FadingParams, ebn0_db: float) -> np.ndarray:
     """
     symbols = np.asarray(symbols, dtype=complex)
     rng = np.random.default_rng(fading.seed)
-    ebn0 = 10.0 ** (ebn0_db / 10.0)
-    es_n0 = 2.0 * ebn0  # 2 bits per symbol, unit symbol energy
-    sigma = math.sqrt(1.0 / (2.0 * es_n0))
+    sigma = noise_sigma(ebn0_db)
+    h = _fading_gain(rng, symbols.shape, fading)
+    return _receive(_complex_normal(rng, symbols.shape), h, symbols, sigma)
+
+
+def _fading_gain(rng: np.random.Generator, shape, fading: FadingParams):
+    """The complex gain per symbol; ones, and no draws, for AWGN."""
     if fading.kind is FadingKind.AWGN:
-        h = np.ones(symbols.shape)
-    else:
-        k = fading.rician_k if fading.kind is FadingKind.RICIAN else 0.0
-        h = _complex_normal(rng, symbols.shape)
-        h /= math.sqrt(2.0)
-        h *= math.sqrt(1.0 / (k + 1.0))
-        h += math.sqrt(k / (k + 1.0))
-    # (h * symbols + noise) / h, in place; symbols + noise / h would not
-    # round the same, and n_errors must not move
-    received = _complex_normal(rng, symbols.shape)
-    received *= sigma
-    received += h * symbols
-    received /= h
-    return received
+        return np.broadcast_to(1.0, shape)
+    k = fading.rician_k if fading.kind is FadingKind.RICIAN else 0.0
+    h = _complex_normal(rng, shape)
+    h /= math.sqrt(2.0)
+    h *= math.sqrt(1.0 / (k + 1.0))
+    h += math.sqrt(k / (k + 1.0))
+    return h
 
 
-def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """``re + 1j * im`` for two successive standard normal draws of
-    ``shape``, filled in place of building it from temporaries."""
+def _receive(noise: np.ndarray, h, symbols, sigma: float) -> np.ndarray:
+    # (h * s + sigma * noise) / h in place; s + noise / h rounds differently
+    noise *= sigma
+    noise += h * symbols
+    noise /= h
+    return noise
+
+
+def _complex_normal(rng: np.random.Generator, shape, real=None) -> np.ndarray:
+    """``re + 1j * im`` for successive standard normal draws of ``shape``
+    (``re`` is ``real`` if given), filled in place of temporaries."""
     z = np.empty(shape, dtype=complex)
-    z.real = rng.standard_normal(shape)
+    z.real = rng.standard_normal(shape) if real is None else real
     z.imag = rng.standard_normal(shape)
     return z
 
@@ -231,13 +243,21 @@ def ber_monte_carlo(fading: FadingParams, ebn0_db: float, n_bits: int,
         raise ValueError("n_bits must be even and >= 2")
     if seed is None:
         seed = fading.seed
+    sigma = noise_sigma(ebn0_db)
     # separate, independent streams for the bit source and the channel
     bit_ss, chan_ss = np.random.SeedSequence(seed).spawn(2)
-    rng = np.random.default_rng(bit_ss)
-    bits = rng.integers(0, 2, size=n_bits)
-    symbols = qpsk_modulate(bits)
-    chan = replace(fading, seed=int(chan_ss.generate_state(1)[0]))
-    received = apply_channel(symbols, chan, ebn0_db)
-    decided = qpsk_demodulate(received)
-    n_errors = int(np.count_nonzero(decided != bits))
+    bit_rng = np.random.default_rng(bit_ss)
+    rng = np.random.default_rng(int(chan_ss.generate_state(1)[0]))
+    # ziggurat normals take a varying count of raw draws, so no block can
+    # seek ahead: h and the noise's real part are drawn whole, imag per block
+    h = _fading_gain(rng, n_bits // 2, fading)
+    noise_re = rng.standard_normal(n_bits // 2)
+    n_errors = 0
+    for start in range(0, noise_re.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        noise = _complex_normal(rng, noise_re[block].shape, noise_re[block])
+        bits = bit_rng.integers(0, 2, size=2 * noise.size)
+        received = _receive(noise, h[block], qpsk_modulate(bits), sigma)
+        # the float view lists each symbol's (I, Q) in bit order
+        n_errors += int(np.count_nonzero((received.view(float) < 0) != bits))
     return n_errors / n_bits, n_errors

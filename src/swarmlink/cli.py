@@ -247,6 +247,15 @@ _BUDGET_ITEMS = ("tx_items", "loss_items", "rx_items")
 _BUDGET_FIGURES = ("noise_bandwidth_hz", "noise_figure_db", "rx_threshold_db")
 
 
+def _channel(c: dict) -> dict:
+    for i, ebn0_db in enumerate(c["ebn0_db"]):
+        with _at(f"channel.ebn0_db[{i}]"):
+            channel.noise_sigma(ebn0_db)
+    with _at("channel.constellation_ebn0_db"):
+        channel.noise_sigma(c["constellation_ebn0_db"])
+    return c
+
+
 def _budget(b: dict) -> dict:
     if b["use_reference"]:
         return {**b, "antenna": linkbudget.reference_antenna(),
@@ -284,6 +293,8 @@ def _berdist(b: dict) -> dict:
         b.update(zip(("link", "data_rate", "noise_power_dbm"),
                      linkbudget.reference_ber_distance_link()))
     _need(b, "berdist", "data_rate", "noise_power_dbm")
+    with _at("berdist.noise_power_dbm"):
+        linkbudget.dbm_to_watts(b["noise_power_dbm"])
     return b
 
 
@@ -297,7 +308,8 @@ _CHECKS = {"dt": (lambda dt: dt > 0, "must be > 0"),
            "optimize.function": (_FITNESS.__contains__,
                                  f"one of {', '.join(_FITNESS)}"),
            **dict.fromkeys(("channel.sweep.d_min", "channel.sweep.d_max",
-                            "berdist.d_min", "berdist.d_max"),
+                            "berdist.d_min", "berdist.d_max",
+                            "berdist.data_rate"),
                            (lambda d: d > 0, "must be > 0")),
            # the build step checks a one-dimensional box, not ``dim``
            **dict.fromkeys(("optimize.dim", "network.n_uavs",
@@ -334,7 +346,7 @@ DEFAULTS = {
         "link": _LINK, "fading": channel.FadingParams(),
         "ebn0_db": _many(0.0, [0, 2, 4, 6, 8]), "n_bits": 100000,
         "constellation_ebn0_db": 10.0, "sweep": {
-            "d_min": 10.0, "d_max": 100000.0, "n": 500}}),
+            "d_min": 10.0, "d_max": 100000.0, "n": 500}}, _channel),
     "budget": _section({   # without use_reference, the ledger is required
         "use_reference": True, "antenna": linkbudget.reference_antenna(),
         **dict.fromkeys(_BUDGET_ITEMS, _many((str, float))),

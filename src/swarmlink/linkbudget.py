@@ -35,6 +35,7 @@ __all__ = [
     "incident_power",
     "output_impedance",
     "compute_budget",
+    "dbm_to_watts",
     "ber_vs_distance",
     "reference_antenna",
     "reference_budget_config",
@@ -280,6 +281,17 @@ def compute_budget(antenna: AntennaSpec, config: BudgetConfig,
     )
 
 
+def dbm_to_watts(p_dbm: float) -> float:
+    """Power in W; ValueError when it over- or underflows a float."""
+    try:
+        p_watts = 1e-3 * 10.0 ** (p_dbm / 10.0)
+    except OverflowError:
+        p_watts = math.inf
+    if not 0.0 < p_watts < math.inf:
+        raise ValueError("power in W is not a finite number > 0")
+    return p_watts
+
+
 def ber_vs_distance(link: LinkParams, data_rate: float,
                     noise_power_dbm_val: float, distances,
                     formula: BerFormula = BerFormula.STANDARD):
@@ -297,7 +309,7 @@ def ber_vs_distance(link: LinkParams, data_rate: float,
     if np.any(distances <= 0):
         raise ValueError("distances must be > 0")
     pr = friis_received_power(link, distances)
-    n0 = 1e-3 * 10.0 ** (noise_power_dbm_val / 10.0)
+    n0 = dbm_to_watts(noise_power_dbm_val)
     ebn0 = (pr / data_rate) / n0
     if formula is BerFormula.STANDARD:
         ber = 0.5 * erfc(np.sqrt(ebn0))

@@ -11,9 +11,9 @@ from swarmlink.channel import (FadingKind, FadingParams, LinkParams,
                                apply_channel, ber_monte_carlo,
                                ber_qpsk_awgn_theoretical,
                                ber_qpsk_theoretical, crossover_distance,
-                               friis_received_power, qpsk_demodulate,
-                               qpsk_modulate, two_ray_received_power,
-                               watts_to_dbm)
+                               friis_received_power, noise_sigma,
+                               qpsk_demodulate, qpsk_modulate,
+                               two_ray_received_power, watts_to_dbm)
 
 LINK = LinkParams(tx_power=50.0, wavelength=0.125, distance=2000.0,
                   tx_gain=1.0, rx_gain=1.0, tx_height=10.0, rx_height=10.0)
@@ -243,3 +243,21 @@ def test_fading_theory_matches_monte_carlo(kind, k):
                                    ebn0_db, n_bits)
         sigma = math.sqrt(n_bits * p * (1.0 - p))
         assert abs(n_err - n_bits * p) <= 4.0 * sigma + 2.0
+
+
+@pytest.mark.parametrize("ebn0_db", [4000.0, 1e308, -4000.0, -1e308,
+                                     math.inf, -math.inf, math.nan])
+def test_eb_n0_without_finite_noise_level_is_rejected(ebn0_db):
+    with pytest.raises(ValueError):
+        noise_sigma(ebn0_db)
+    fading = FadingParams(FadingKind.RAYLEIGH, seed=1)
+    with pytest.raises(ValueError):
+        ber_monte_carlo(fading, ebn0_db, 100)
+    with pytest.raises(ValueError):
+        apply_channel(np.ones(4, dtype=complex), fading, ebn0_db)
+
+
+@pytest.mark.parametrize("ebn0_db", [-3000.0, -10.0, 0.0, 4.0, 3000.0])
+def test_noise_sigma_hand_form(ebn0_db):
+    es_n0 = 2.0 * 10.0 ** (ebn0_db / 10.0)
+    assert noise_sigma(ebn0_db) == math.sqrt(1.0 / (2.0 * es_n0))

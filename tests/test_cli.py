@@ -278,6 +278,20 @@ MALFORMED = [
     ("wind", "wind.n_omega", -1, "wind.n_omega"),
     ("channel", "channel.sweep.n", -1, "channel.sweep.n"),
     ("berdist", "berdist.n", -1, "berdist.n"),
+    ("channel", "channel.ebn0_db", [4000], "channel.ebn0_db[0]"),
+    ("channel", "channel.ebn0_db", [1e308], "channel.ebn0_db[0]"),
+    ("channel", "channel.ebn0_db", [-4000], "channel.ebn0_db[0]"),
+    ("channel", "channel.ebn0_db", [0, 2, -1e308], "channel.ebn0_db[2]"),
+    ("channel", "channel.constellation_ebn0_db", -4000,
+     "channel.constellation_ebn0_db"),
+    ("channel", "channel.constellation_ebn0_db", 4000,
+     "channel.constellation_ebn0_db"),
+    *(("berdist", "berdist", {"use_reference": False, "data_rate": rate,
+                              "noise_power_dbm": -120.0}, "berdist.data_rate")
+      for rate in (0, -5, 0.0)),
+    *(("berdist", "berdist", {"use_reference": False, "data_rate": 1e6,
+                              "noise_power_dbm": dbm},
+       "berdist.noise_power_dbm") for dbm in (1e308, -4000.0)),
 ]
 
 

@@ -8,7 +8,7 @@ import pytest
 from swarmlink.channel import LinkParams
 from swarmlink.linkbudget import (BerFormula, BudgetMode, Discrepancy,
                                   ber_vs_distance, compute_budget,
-                                  incident_power, noise_figure,
+                                  dbm_to_watts, incident_power, noise_figure,
                                   noise_power_dbm, output_impedance,
                                   path_loss_db, reference_antenna,
                                   reference_ber_distance_link,
@@ -143,6 +143,22 @@ def test_ber_vs_distance_paper_formula():
         ber_vs_distance(link, 0.0, noise, d)
     with pytest.raises(ValueError):
         ber_vs_distance(link, rate, noise, np.array([0.0]))
+
+
+@pytest.mark.parametrize("p_dbm", [1e308, 4000.0, -4000.0, -1e308,
+                                   math.inf, math.nan])
+def test_dbm_outside_float_range_is_rejected(p_dbm):
+    link, rate, _ = reference_ber_distance_link()
+    with pytest.raises(ValueError):
+        dbm_to_watts(p_dbm)
+    with pytest.raises(ValueError):
+        ber_vs_distance(link, rate, p_dbm, np.array([1000.0]))
+
+
+def test_dbm_to_watts_hand_values():
+    assert dbm_to_watts(30.0) == 1e-3 * 10.0 ** 3.0
+    assert dbm_to_watts(-120.0) == 1e-3 * 10.0 ** -12.0
+    assert dbm_to_watts(3000.0) == pytest.approx(1e297)
 
 
 def test_friis_consistency_with_channel_module():

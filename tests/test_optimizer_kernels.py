@@ -1,11 +1,12 @@
 """The population-batched GWO step and the lean stochastic path against the
 forms they replaced: the per-wolf, per-leader GWO loop, ``np.sum``
-fitness reductions, ``np.clip`` and ``np.linalg.norm``, and the channel
-built from ``re + 1j * im`` temporaries. Outputs and generator states must
-match bit for bit, and a GWO step must draw its random numbers in one
+fitness reductions, ``np.clip`` and ``np.linalg.norm``, the channel
+built from ``re + 1j * im`` temporaries, and the Monte Carlo BER that drew
+and held every bit and channel sample at once. Outputs and generator states
+must match bit for bit, and a GWO step must draw its random numbers in one
 call."""
 import math
-from unittest import mock
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -201,6 +202,26 @@ def reference_apply_channel(symbols, fading, ebn0_db):
     return (h * symbols + noise) / h
 
 
+def reference_ber_monte_carlo(fading, ebn0_db, n_bits, seed=None):
+    """The whole-array Monte Carlo: every bit in one draw, the arithmetic
+    QPSK map, all four channel components through
+    :func:`reference_apply_channel`, and int decisions."""
+    if seed is None:
+        seed = fading.seed
+    bit_ss, chan_ss = np.random.SeedSequence(seed).spawn(2)
+    tx = np.random.default_rng(bit_ss).integers(0, 2, size=n_bits)
+    i = 1.0 - 2.0 * tx[0::2]
+    q = 1.0 - 2.0 * tx[1::2]
+    symbols = (1.0 / math.sqrt(2.0)) * (i + 1j * q)
+    chan = replace(fading, seed=int(chan_ss.generate_state(1)[0]))
+    received = reference_apply_channel(symbols, chan, ebn0_db)
+    decided = np.empty(n_bits, dtype=int)
+    decided[0::2] = received.real < 0
+    decided[1::2] = received.imag < 0
+    n_errors = int(np.count_nonzero(decided != tx))
+    return n_errors / n_bits, n_errors
+
+
 def bits(x):
     """Bit patterns, so that -0.0 and 0.0 differ and NaN equals NaN."""
     x = np.asarray(x, dtype=float)
@@ -373,8 +394,55 @@ def test_ber_monte_carlo_matches_parent(fading):
               for seed in (None, 99)]
     results = [channel.ber_monte_carlo(fading, ebn0_db, 100_000, seed)
                for ebn0_db, seed in points]
-    with mock.patch.object(channel, "apply_channel", reference_apply_channel):
-        expect = [channel.ber_monte_carlo(fading, ebn0_db, 100_000, seed)
-                  for ebn0_db, seed in points]
+    expect = [reference_ber_monte_carlo(fading, ebn0_db, 100_000, seed)
+              for ebn0_db, seed in points]
     assert results == expect
     assert all(isinstance(n, int) for _, n in results)
+
+
+# ------------------------------------------------- streamed Monte Carlo
+
+BLOCK = channel._BLOCK
+STREAMED = [FadingParams(FadingKind.AWGN, seed=21),
+            FadingParams(FadingKind.RICIAN, rician_k=0.0, seed=22),
+            FadingParams(FadingKind.RICIAN, rician_k=50.0, seed=23),
+            FadingParams(FadingKind.RAYLEIGH, seed=24)]
+
+
+def _fading_id(fading):
+    return f"{fading.kind.value}-{fading.rician_k:g}"
+
+
+@pytest.mark.parametrize("fading", STREAMED, ids=_fading_id)
+@pytest.mark.parametrize("ebn0_db", [-3.0, 6.0])
+@pytest.mark.parametrize("n_bits", [2, 2 * BLOCK - 2, 2 * BLOCK,
+                                    2 * BLOCK + 2, 4 * BLOCK + 6])
+def test_streamed_monte_carlo_matches_whole_array_at_block_edges(
+        fading, ebn0_db, n_bits):
+    result = channel.ber_monte_carlo(fading, ebn0_db, n_bits)
+    assert result == reference_ber_monte_carlo(fading, ebn0_db, n_bits)
+    assert type(result[0]) is float and type(result[1]) is int
+
+
+@settings(max_examples=40, deadline=None)
+@given(half=st.integers(1, 3 * BLOCK), fading=st.sampled_from(STREAMED),
+       ebn0_db=st.floats(-10.0, 15.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_streamed_monte_carlo_matches_whole_array_any_size(half, fading,
+                                                          ebn0_db, seed):
+    assert channel.ber_monte_carlo(fading, ebn0_db, 2 * half, seed) == \
+        reference_ber_monte_carlo(fading, ebn0_db, 2 * half, seed)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_generator_draws_split_into_blocks_equal_one_draw(seed):
+    """The streamed Monte Carlo rests on this: numpy's bounded integers and
+    ziggurat normals give the same values whether drawn in blocks of any
+    size or in one call, so a block loop reproduces the whole draw."""
+    sizes = [1, 7, BLOCK, 3, BLOCK + 1, 2, 2 * BLOCK - 5]
+    for draw in (lambda rng, n: rng.integers(0, 2, size=n),
+                 lambda rng, n: rng.standard_normal(n)):
+        whole = draw(np.random.default_rng(seed), sum(sizes))
+        rng = np.random.default_rng(seed)
+        blocks = np.concatenate([draw(rng, n) for n in sizes])
+        assert whole.dtype == blocks.dtype
+        assert whole.tobytes() == blocks.tobytes()
