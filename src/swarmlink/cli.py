@@ -203,12 +203,36 @@ def _need(section: dict, path: str, *keys: str) -> None:
             raise ConfigError(f"{path}.{key}: required")
 
 
+def _finite_at_ends(sweep: dict, path: str, whole: str, curves) -> None:
+    """Raise ConfigError unless the arrays ``curves(d)`` are finite at both
+    ends of the ``d_min``..``d_max`` sweep; name the failing end, or
+    ``whole`` when both fail or a Python float overflows."""
+    ends = np.logspace(math.log10(sweep["d_min"]), math.log10(sweep["d_max"]),
+                       2)
+    try:
+        with np.errstate(all="ignore"):
+            finite = np.isfinite(curves(ends)).all(axis=0)
+    except OverflowError:
+        finite = (False, False)
+    bad = [end for end, ok in zip(("d_min", "d_max"), finite) if not ok]
+    if bad:
+        key = whole if len(bad) == 2 else f"{path}.{bad[0]}"
+        raise ConfigError(f"{key}: received power in dB is not finite at "
+                          + " and ".join(bad))
+
+
 # Build steps: the library objects that span several fields.
 def _wind(w: dict) -> dict:
     with _at("wind.shear_p"):
         wind.WindShearCoeff(w["shear_p"])
     w["spec"] = wind.TurbulenceSpec(w["sigma"], w["length"], w["model"])
     w["spec"].params_for(w["component"])
+    try:   # the spectra's scale sigma**2 * length / pi, at omega = 0
+        finite = math.isfinite(wind.dryden_psd(w["spec"], w["component"], 0.0))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ConfigError("wind.sigma: sigma**2 * length is not finite")
     return w
 
 
@@ -253,6 +277,9 @@ def _channel(c: dict) -> dict:
             channel.noise_sigma(ebn0_db)
     with _at("channel.constellation_ebn0_db"):
         channel.noise_sigma(c["constellation_ebn0_db"])
+    _finite_at_ends(c["sweep"], "channel.sweep", "channel.link", lambda d: [
+        channel.watts_to_dbm(model(c["link"], d)) for model in (
+            channel.friis_received_power, channel.two_ray_received_power)])
     return c
 
 
@@ -295,6 +322,9 @@ def _berdist(b: dict) -> dict:
     _need(b, "berdist", "data_rate", "noise_power_dbm")
     with _at("berdist.noise_power_dbm"):
         linkbudget.dbm_to_watts(b["noise_power_dbm"])
+    _finite_at_ends(b, "berdist", "berdist", lambda d: list(
+        linkbudget.ber_vs_distance(b["link"], b["data_rate"],
+                                   b["noise_power_dbm"], d).values()))
     return b
 
 

@@ -1,17 +1,21 @@
 """Swarm network topologies, routing-vs-flooding propagation, and
 representative path planners (Dijkstra, A*, artificial potential field).
 
-Graphs are plain adjacency maps with Euclidean edge costs; all algorithms
-break ties by node id so results are deterministic.
+Graphs are plain adjacency maps with Euclidean edge costs. No result
+depends on the order in which a node's neighbours are visited, so no
+search sorts them. A*'s heap orders entries by ``(f, id)``, so ties
+break by id, and the relaxations of one expansion commute. Flooding,
+hop counts and the connectivity check share one breadth-first pass,
+whose levels and message counts do not depend on which sender reaches
+a node first. Only outputs are sorted: ``nodes``, ``edges``, the
+delivered list and the orphan list.
 
 The ad hoc mesh is a fixed-radius range search (Bentley, CACM 1975) over
 the group's positions held as one (n, 3) array: one pass per node takes
 the distances to every later member at once, as ``sqrt(vecdot(d, d))``
 (the same bits as one ``norm(a - b)`` per pair; ``norm(d, axis=1)`` is
 not), and only the pairs in range become edges, added in the order of
-the pair loop they replace. No pair matrix is built. Neighbour ties
-still break by id, because the searches sort each node's neighbours as
-they expand it.
+the pair loop they replace. No pair matrix is built.
 
 The potential field (Khatib, IJRR 1986) keeps its obstacles as a centre
 array and a radius array. The gradient measures every obstacle in one
@@ -92,12 +96,8 @@ class TopologyGraph:
 
     @property
     def edges(self) -> list[tuple[str, str, float]]:
-        seen = []
-        for a in sorted(self.adjacency):
-            for b, cost in sorted(self.adjacency[a].items()):
-                if a < b:
-                    seen.append((a, b, cost))
-        return seen
+        return sorted((a, b, cost) for a, near in self.adjacency.items()
+                      for b, cost in near.items() if a < b)
 
 
 @dataclass
@@ -165,18 +165,10 @@ def _mesh_in_range(graph: TopologyGraph, members: list[str],
 
 def _require_connected(graph: TopologyGraph, members: list[str],
                        context: str):
-    if not members:
-        return
-    seen = {members[0]}
-    stack = [members[0]]
-    member_set = set(members)
-    while stack:
-        node = stack.pop()
-        for nb in graph.adjacency[node]:
-            if nb in member_set and nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    orphans = sorted(member_set - seen)
+    # a walk that leaves the members returns by the member it left by (a
+    # master's own group), so the whole graph joins the same members
+    *_, (reached, _, _) = _flood_rounds(graph, members[0])
+    orphans = sorted(set(members) - reached)
     if orphans:
         raise TopologyError(
             f"{context}: nodes beyond link range of any neighbor: {orphans}",
@@ -285,6 +277,30 @@ def route_shortest(graph: TopologyGraph, src: str,
     return astar(graph, src, dst, heuristic=lambda a, b: 0.0)[0]
 
 
+def _flood_rounds(graph: TopologyGraph, src: str):
+    """Flood from ``src`` in synchronous rounds; yield ``(delivered,
+    messages, depth)`` before the first round and after each round until
+    no node forwards. ``delivered`` is one set, updated in place."""
+    delivered = {src}
+    frontier: list[tuple[str, str | None]] = [(src, None)]
+    messages = depth = 0
+    while frontier:
+        yield delivered, messages, depth
+        next_frontier = []
+        for sender, came_from in frontier:
+            for nb in graph.adjacency[sender]:
+                if nb == came_from:
+                    continue
+                messages += 1
+                if nb not in delivered:
+                    delivered.add(nb)
+                    next_frontier.append((nb, sender))
+        if next_frontier:
+            depth += 1
+        frontier = next_frontier
+    yield delivered, messages, depth
+
+
 def flood(graph: TopologyGraph, src: str, ttl: int) -> PropagationResult:
     """Synchronous-rounds flooding with duplicate suppression.
 
@@ -298,25 +314,9 @@ def flood(graph: TopologyGraph, src: str, ttl: int) -> PropagationResult:
         raise ValueError(f"unknown node {src!r}")
     if ttl < 0:
         raise ValueError("ttl must be >= 0")
-    delivered = {src}
-    frontier: list[tuple[str, str | None]] = [(src, None)]
-    messages = 0
-    depth = 0
-    for _ in range(ttl):
-        if not frontier:
-            break
-        next_frontier = []
-        for sender, came_from in sorted(frontier):
-            for nb in sorted(graph.adjacency[sender]):
-                if nb == came_from:
-                    continue
-                messages += 1
-                if nb not in delivered:
-                    delivered.add(nb)
-                    next_frontier.append((nb, sender))
-        if next_frontier:
-            depth += 1
-        frontier = next_frontier
+    # the state after ttl rounds, or after the last if the flood ends first
+    *_, (_, (delivered, messages, depth)) = zip(range(ttl + 1),
+                                              _flood_rounds(graph, src))
     return PropagationResult(delivered=delivered, total_messages=messages,
                              hop_count=depth)
 
@@ -325,8 +325,9 @@ def compare_propagation(graph: TopologyGraph, src: str, dst: str) -> dict:
     """Side-by-side routing vs flooding metrics for one (src, dst) pair."""
     routed = route_shortest(graph, src, dst)
     # flood just deep enough to reach dst (whole graph if unreachable)
-    ttl = route_hops(graph, src, dst) if routed.reached else len(graph.roles)
-    flooded = flood(graph, src, ttl=ttl)
+    for delivered, messages, depth in _flood_rounds(graph, src):
+        if dst in delivered:
+            break
     return {
         "routing": {
             "reached": routed.reached,
@@ -336,32 +337,19 @@ def compare_propagation(graph: TopologyGraph, src: str, dst: str) -> dict:
             "cost": routed.cost,
         },
         "flooding": {
-            "reached": dst in flooded.delivered,
-            "depth": flooded.hop_count,
-            "messages": flooded.total_messages,
-            "delivered": sorted(flooded.delivered),
+            "reached": dst in delivered,
+            "depth": depth,
+            "messages": messages,
+            "delivered": sorted(delivered),
         },
     }
 
 
 def route_hops(graph: TopologyGraph, src: str, dst: str) -> int:
     """Minimum hop count between two nodes (BFS); -1 if unreachable."""
-    if src == dst:
-        return 0
-    seen = {src}
-    frontier = [src]
-    depth = 0
-    while frontier:
-        depth += 1
-        nxt = []
-        for node in frontier:
-            for nb in sorted(graph.adjacency[node]):
-                if nb == dst:
-                    return depth
-                if nb not in seen:
-                    seen.add(nb)
-                    nxt.append(nb)
-        frontier = nxt
+    for delivered, _, depth in _flood_rounds(graph, src):
+        if dst in delivered:
+            return depth
     return -1
 
 
@@ -399,8 +387,8 @@ def astar(graph: TopologyGraph, src: str, dst: str,
             return PropagationResult(delivered={dst}, total_messages=hops,
                                      hop_count=hops, path=path,
                                      cost=dist[dst]), expansions
-        for nb in sorted(graph.adjacency[node]):
-            cand = dist[node] + graph.adjacency[node][nb]
+        for nb, cost in graph.adjacency[node].items():
+            cand = dist[node] + cost
             if nb not in dist or cand < dist[nb] - 1e-15:
                 dist[nb] = cand
                 prev[nb] = node

@@ -292,6 +292,12 @@ MALFORMED = [
     *(("berdist", "berdist", {"use_reference": False, "data_rate": 1e6,
                               "noise_power_dbm": dbm},
        "berdist.noise_power_dbm") for dbm in (1e308, -4000.0)),
+    ("berdist", "berdist.d_max", 1e200, "berdist.d_max"),
+    ("channel", "channel.sweep.d_max", 1e300, "channel.sweep.d_max"),
+    ("channel", "channel.link.tx_power", 1e-320, "channel.link"),
+    ("wind", "wind.sigma", [1e300, 1, 1], "wind.sigma"),
+    ("channel", "channel.link.tx_height", 1e300, "channel.link"),
+    ("channel", "channel.link.wavelength", 1e300, "channel.link"),
 ]
 
 

@@ -159,6 +159,58 @@ def test_compare_propagation_star():
     assert out["flooding"]["messages"] > out["routing"]["messages"]
 
 
+def _reordered(graph, rng):
+    """The same graph with every adjacency dict re-inserted in random
+    order."""
+    adjacency = {}
+    for a in rng.permutation(list(graph.adjacency)).tolist():
+        near = list(graph.adjacency[a].items())
+        adjacency[a] = dict(near[i] for i in rng.permutation(len(near)))
+    return TopologyGraph(kind=graph.kind, roles=graph.roles,
+                         positions=graph.positions, adjacency=adjacency)
+
+
+def _outcome(result):
+    return (result.delivered, result.total_messages, result.hop_count,
+            result.path, result.cost)
+
+
+def test_searches_do_not_depend_on_neighbour_order():
+    """No search sorts neighbours, so every result must be the same
+    whatever order the adjacency dicts hold; unit costs make ties."""
+    rng = np.random.default_rng(9)
+    graphs = []
+    for k in range(60):
+        graph = _random_graph(rng, int(rng.integers(2, 16)),
+                              p_edge=float(rng.uniform(0.1, 0.6)))
+        if k % 2:
+            for near in graph.adjacency.values():
+                near.update(dict.fromkeys(near, 1.0))
+        graphs.append(graph)
+    for _ in range(20):
+        walls = rng.integers(0, 8, size=(int(rng.integers(0, 16)), 2))
+        graphs.append(grid_graph(8, 8, map(tuple, walls.tolist())))
+    for graph in graphs:
+        shuffled = _reordered(graph, rng)
+        assert shuffled.edges == graph.edges
+        nodes = graph.nodes
+        for _ in range(4):
+            src, dst = (nodes[int(i)] for i in rng.integers(len(nodes),
+                                                            size=2))
+            (a, a_expanded), (b, b_expanded) = (astar(g, src, dst)
+                                                for g in (graph, shuffled))
+            assert (_outcome(a), a_expanded) == (_outcome(b), b_expanded)
+            assert _outcome(route_shortest(graph, src, dst)) == _outcome(
+                route_shortest(shuffled, src, dst))
+            assert route_hops(graph, src, dst) == route_hops(shuffled, src,
+                                                             dst)
+            for ttl in (0, 1, 2, 3, len(nodes)):
+                assert _outcome(flood(graph, src, ttl)) == _outcome(
+                    flood(shuffled, src, ttl))
+            assert compare_propagation(graph, src, dst) == \
+                compare_propagation(shuffled, src, dst)
+
+
 def _check_invariants(kind, graph, n_uavs, n_groups):
     roles = graph.roles
     assert roles[GROUND_STATION_ID] is NodeRole.GROUND_STATION

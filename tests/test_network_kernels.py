@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from swarmlink import cli, network
 from swarmlink.network import (GROUND_STATION_ID, ObstacleField,
@@ -152,10 +152,23 @@ def nx_graph(nx, graph):
     return g
 
 
+AD_HOC = [TopologyKind.SINGLE_GROUP_AD_HOC, TopologyKind.MULTI_GROUP_AD_HOC,
+          TopologyKind.MULTI_LAYER_AD_HOC]
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.integers(2, 40), st.floats(5.0, 60.0), st.integers(0, 2 ** 32 - 1))
-def test_mesh_edges_equal_networkx_geometric_edges(nx, n_uavs, link_range,
+@given(st.sampled_from(AD_HOC), st.integers(2, 40), st.integers(1, 4),
+       st.floats(5.0, 60.0), st.integers(0, 2 ** 32 - 1))
+@example(TopologyKind.MULTI_LAYER_AD_HOC, 8, 2, 40.0, 8)   # masters split
+def test_mesh_edges_equal_networkx_geometric_edges(nx, kind, n_uavs,
+                                                     n_groups, link_range,
                                                      seed):
+    """Each group meshes its members in range, and a multi-layer swarm its
+    masters too; the first of these layers that networkx finds split
+    names its orphans."""
+    if kind is TopologyKind.SINGLE_GROUP_AD_HOC:
+        n_groups = 1
+    n_groups = min(n_groups, n_uavs)
     rng = np.random.default_rng(seed)
     positions = {f"u{i}": rng.uniform(-30.0, 30.0, 3) for i in range(n_uavs)}
     positions[GROUND_STATION_ID] = np.zeros(3)
@@ -166,15 +179,31 @@ def test_mesh_edges_equal_networkx_geometric_edges(nx, n_uavs, link_range,
     assume(all(abs(d - link_range) > 1e-9 * link_range for d in dists))
     g = nx.Graph()
     g.add_nodes_from((u, {"pos": tuple(positions[u])}) for u in uavs)
-    expected = {frozenset(e) for e in nx.geometric_edges(g, link_range)}
+    in_range = nx.geometric_edges(g, link_range)
+    # the first n_uavs mod n_groups groups take one extra member
+    groups = [a.tolist() for a in np.array_split(uavs, n_groups)]
+    layers = [("ad hoc group", members) for members in groups]
+    if kind is TopologyKind.MULTI_LAYER_AD_HOC:
+        layers.append(("master layer", [members[0] for members in groups]))
+    expected, split = set(), None
+    for context, members in layers:
+        layer = nx.Graph()
+        layer.add_nodes_from(members)
+        layer.add_edges_from(e for e in in_range if set(e) <= set(members))
+        expected |= {frozenset(e) for e in layer.edges}
+        if split is None and not nx.is_connected(layer):
+            split = context, tuple(sorted(
+                set(members) - nx.node_connected_component(layer,
+                                                           members[0])))
     try:
-        graph = build_topology(TopologyKind.SINGLE_GROUP_AD_HOC, n_uavs, 1,
-                               link_range, positions)
+        graph = build_topology(kind, n_uavs, n_groups, link_range,
+                               positions)
     except TopologyError as exc:
-        g.add_edges_from(tuple(e) for e in expected)
-        assert set(exc.orphans) == set(uavs) - nx.node_connected_component(
-            g, "u0")
+        assert split is not None
+        assert str(exc).startswith(split[0] + ":")
+        assert exc.orphans == split[1]
         return
+    assert split is None
     mesh = {frozenset((a, b)) for a, b, _ in graph.edges
             if GROUND_STATION_ID not in (a, b)}
     assert mesh == expected
