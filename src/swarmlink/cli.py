@@ -225,14 +225,28 @@ def _finite_at_ends(sweep: dict, path: str, whole: str, curves) -> None:
 def _wind(w: dict) -> dict:
     with _at("wind.shear_p"):
         wind.WindShearCoeff(w["shear_p"])
-    w["spec"] = wind.TurbulenceSpec(w["sigma"], w["length"], w["model"])
-    w["spec"].params_for(w["component"])
-    try:   # the spectra's scale sigma**2 * length / pi, at omega = 0
-        finite = math.isfinite(wind.dryden_psd(w["spec"], w["component"], 0.0))
-    except OverflowError:
-        finite = False
-    if not finite:
-        raise ConfigError("wind.sigma: sigma**2 * length is not finite")
+    spec = w["spec"] = wind.TurbulenceSpec(w["sigma"], w["length"], w["model"])
+    spec.params_for(w["component"])
+    spacing = w["sample_spacing"]
+    with np.errstate(all="ignore"):
+        ends = np.logspace(w["omega_log_min"], w["omega_log_max"], 2)
+    # both densities with numpy overflow raised: at omega = 0 (sigma**2 *
+    # length / pi), at the grid's ends, and times the synthesis gain
+    for key, omega, gain in (
+            ("sigma", 0.0, 1.0),
+            *zip(("omega_log_min", "omega_log_max"), ends[:w["n_omega"]],
+                 (1.0, 1.0)),
+            ("sample_spacing", np.array([0.0, np.pi / spacing]),
+             2.0 * np.pi / spacing)):
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                values = [omega, *(psd(spec, w["component"], omega) * gain
+                                   for psd in (wind.dryden_psd,
+                                               wind.von_karman_psd))]
+        except (FloatingPointError, OverflowError):
+            values = [math.inf]
+        if not np.isfinite(values).all():
+            raise ConfigError(f"wind.{key}: spectral density is not finite")
     return w
 
 
@@ -329,6 +343,7 @@ def _berdist(b: dict) -> dict:
 
 
 _CHECKS = {"dt": (lambda dt: dt > 0, "must be > 0"),
+           "duration": (lambda d: d >= 0, "must be >= 0"),
            "wind.n_samples": (lambda n: n >= 2 and not n & (n - 1),
                               "power of two >= 2 required"),
            "channel.n_bits": (lambda n: n >= 2 and not n % 2,
@@ -345,11 +360,13 @@ _CHECKS = {"dt": (lambda dt: dt > 0, "must be > 0"),
            **dict.fromkeys(("optimize.dim", "network.n_uavs",
                             "network.n_groups"),
                            (lambda n: n >= 1, "must be >= 1")),
-           **dict.fromkeys(("network.link_range", "network.apf.step"),
+           **dict.fromkeys(("network.link_range", "network.apf.step",
+                            "wind.sample_spacing"),
                            (lambda x: x > 0, "must be > 0")),
            **dict.fromkeys(("wind.n_omega", "channel.sweep.n", "berdist.n",
                             "network.apf.max_steps"),
                            (lambda n: n >= 0, "must be >= 0"))}
+_MAX_STEPS = np.iinfo(np.intp).max   # ticks of dynamics and formation
 _UAV = UavParams(mass=1.0, thrust_coeff=1e-5)
 _LINK = channel.LinkParams(tx_power=50.0, wavelength=0.125, distance=2000.0)
 _VEC3 = (0.0, 0.0, 0.0)
@@ -404,6 +421,9 @@ def parse_config(config: dict) -> tuple[dict, list[str], list[str]]:
     unknown keys)``. Sections left out are None, except ``berdist``."""
     violations, unknown = [], []
     scenario = _object(config, DEFAULTS, "", unknown, violations)
+    steps = scenario.get("duration", 0) / scenario.get("dt", math.inf)
+    if not steps <= _MAX_STEPS:
+        violations.append(f"duration: duration / dt is over {_MAX_STEPS}")
     stochastic = [s for s in ("wind", "optimize", "channel") if s in config]
     if stochastic and "seed" not in config:
         violations.append(f"seed: integer required by sections {stochastic}")

@@ -83,11 +83,10 @@ class UavParams:
     gravity: float = 9.81
     rotor_inertia: float = 1.0e-4
     air_density: float = 1.225
-    rotor_disc_area: float = 0.05
 
     def __post_init__(self):
         for name in ("mass", "thrust_coeff", "gravity", "rotor_inertia",
-                     "air_density", "rotor_disc_area"):
+                     "air_density"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
 

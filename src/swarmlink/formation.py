@@ -8,13 +8,14 @@ Role assignment is a directed tree of (leader, follower) edges; the
 movement layer turns a pose target into a thrust/moment command for the
 dynamics module.
 
-The kernels work on N followers at once: :class:`TargetPlan` holds the
-role tree as arrays and :meth:`TargetPlan.targets` fills it one depth
-level at a time through :func:`follower_targets`, and
-:func:`movement_steps` commands every follower in one pass. The Pose and
-UavState functions (:func:`fgd_target`, :func:`df_target`,
-:func:`formation_targets`, :func:`movement_step`) run the same kernels on
-one row.
+The kernels work on N followers at once: :class:`RoleGraph` holds the
+role tree as arrays, built from the one topological sort that checks it,
+and :meth:`RoleGraph.targets` fills them one depth level at a time
+through :func:`follower_targets`; :func:`movement_steps` commands every
+follower in one pass. The Pose and UavState functions (:func:`fgd_target`,
+:func:`df_target`, :func:`formation_targets`, :func:`movement_step`) run
+the same kernels on one row, for callers that hold one and as the tests'
+oracle.
 """
 from __future__ import annotations
 
@@ -33,7 +34,6 @@ __all__ = [
     "Pose",
     "FormationSpec",
     "RoleGraph",
-    "TargetPlan",
     "follower_targets",
     "fgd_target",
     "df_target",
@@ -88,24 +88,50 @@ class FormationSpec:
 
 @dataclass(frozen=True)
 class RoleGraph:
-    """Directed tree of follow relations rooted at the formation leader."""
+    """Directed tree of follow relations rooted at the formation leader.
+
+    ``followers`` lists the follower ids by depth, so each depth level is
+    one contiguous block of rows and every leader comes before its
+    followers. In the working arrays of :meth:`targets`, row 0 is the root
+    and follower ``i`` is row ``i + 1``.
+    """
 
     root_id: str
     edges: tuple = field(default_factory=tuple)
+    followers: tuple = field(init=False, repr=False, compare=False)
+    # (rows, leader rows, offsets, relative headings, DF mask) per level
+    levels: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         edges = tuple(self.edges)
         object.__setattr__(self, "edges", edges)
-        followers = [f for _, f, _ in edges]
-        if len(set(followers)) != len(followers):
+        edge_of = {f: (l, s) for l, f, s in edges}
+        if len(edge_of) != len(edges):
             raise ValueError("every follower must have exactly one leader")
-        if self.root_id in followers:
+        if self.root_id in edge_of:
             raise ValueError("root must not follow anyone")
-        outside = {l for l, _, _ in edges} - {self.root_id, *followers}
+        outside = {l for l, _, _ in edges} - {self.root_id, *edge_of}
         if outside:
             raise ValueError(f"leaders {sorted(outside)} are neither the "
                              "root nor a follower")
-        self.topological_followers()  # raises on cycles
+        order = self.topological_followers()  # raises on cycles
+        depth = {self.root_id: 0}
+        for follower in order:
+            depth[follower] = depth[edge_of[follower][0]] + 1
+        followers = sorted(order, key=depth.__getitem__)
+        row = {self.root_id: 0, **{f: i + 1 for i, f in enumerate(followers)}}
+        specs = [edge_of[f][1] for f in followers]
+        leaders = np.array([row[edge_of[f][0]] for f in followers], dtype=int)
+        offsets = np.array([s.offset for s in specs]).reshape(-1, 3)
+        relative = np.array([s.relative_heading for s in specs], dtype=float)
+        df = np.array([s.mode is FormationMode.DOUBLE_FIXATION
+                       for s in specs], dtype=bool)
+        depths = [depth[f] for f in followers]
+        starts = np.searchsorted(depths, range(1, max(depths, default=0) + 2))
+        object.__setattr__(self, "followers", tuple(followers))
+        object.__setattr__(self, "levels", [
+            (slice(i + 1, j + 1), leaders[i:j], offsets[i:j], relative[i:j],
+             df[i:j]) for i, j in zip(starts[:-1], starts[1:])])
 
     def topological_followers(self) -> list[str]:
         """Follower ids ordered so every follower appears after its leader."""
@@ -116,8 +142,18 @@ class RoleGraph:
             order = list(sorter.static_order())
         except CycleError as exc:
             raise ValueError("role graph contains a cycle") from exc
-        followers = {f for _, f, _ in self.edges}
-        return [n for n in order if n in followers]
+        return [n for n in order if n != self.root_id]
+
+    def targets(self, root: Pose):
+        """Every follower's target ``(positions (N, 3), headings (N,))``
+        for the root pose ``root``, in :attr:`followers` order."""
+        n = len(self.followers) + 1
+        positions, headings = np.empty((n, 3)), np.empty(n)
+        positions[0], headings[0] = root.position, root.heading
+        for rows, leaders, offsets, relative, df in self.levels:
+            positions[rows], headings[rows] = follower_targets(
+                positions[leaders], headings[leaders], offsets, relative, df)
+        return positions[1:], headings[1:]
 
 
 def follower_targets(leader_positions: np.ndarray,
@@ -142,73 +178,28 @@ def follower_targets(leader_positions: np.ndarray,
     return positions, headings
 
 
-def follower_target(leader: Pose, spec: FormationSpec) -> Pose:
-    """:func:`follower_targets` on one follower."""
+def follower_target(leader: Pose, spec: FormationSpec,
+                    mode: FormationMode) -> Pose:
+    """:func:`follower_targets` on one follower whose spec has ``mode``."""
+    if spec.mode is not mode:
+        raise ValueError(f"spec mode must be {mode.name}")
     position, heading = follower_targets(
         leader.position, leader.heading, spec.offset, spec.relative_heading,
-        np.bool_(spec.mode is FormationMode.DOUBLE_FIXATION))
+        np.bool_(mode is FormationMode.DOUBLE_FIXATION))
     return Pose(position=position, heading=heading)
 
 
 def fgd_target(leader: Pose, spec: FormationSpec) -> Pose:
     """Fixed Global Difference target: leader position plus the constant
     world-frame offset; heading copied from the leader."""
-    if spec.mode is not FormationMode.FIXED_GLOBAL_DIFFERENCE:
-        raise ValueError("spec mode must be FIXED_GLOBAL_DIFFERENCE")
-    return follower_target(leader, spec)
+    return follower_target(leader, spec, FormationMode.FIXED_GLOBAL_DIFFERENCE)
 
 
 def df_target(leader: Pose, spec: FormationSpec) -> Pose:
     """Double Fixation target: the offset rides in the leader's frame, so
     it is rotated about the vertical axis by the leader's heading; the
     follower heading is fixed relative to the leader's."""
-    if spec.mode is not FormationMode.DOUBLE_FIXATION:
-        raise ValueError("spec mode must be DOUBLE_FIXATION")
-    return follower_target(leader, spec)
-
-
-class TargetPlan:
-    """A role tree as arrays, built once per run.
-
-    ``followers`` lists the follower ids by depth, so each depth level is
-    one contiguous block of rows and every leader comes before its
-    followers. Row 0 of the working arrays is the root; follower ``i`` is
-    row ``i + 1``.
-    """
-
-    def __init__(self, roles: RoleGraph):
-        spec_by_follower = {f: (l, s) for l, f, s in roles.edges}
-        order = roles.topological_followers()
-        depth = {roles.root_id: 0}
-        for follower in order:
-            depth[follower] = depth[spec_by_follower[follower][0]] + 1
-        self.followers = sorted(order, key=depth.__getitem__)
-        row = {roles.root_id: 0, **{f: i + 1 for i, f
-                                    in enumerate(self.followers)}}
-        specs = [spec_by_follower[f][1] for f in self.followers]
-        leaders = np.array([row[spec_by_follower[f][0]]
-                            for f in self.followers], dtype=int)
-        offsets = np.array([s.offset for s in specs]).reshape(-1, 3)
-        relative = np.array([s.relative_heading for s in specs], dtype=float)
-        df = np.array([s.mode is FormationMode.DOUBLE_FIXATION
-                       for s in specs], dtype=bool)
-        depths = [depth[f] for f in self.followers]
-        starts = np.searchsorted(depths, range(1, max(depths, default=0) + 2))
-        # (rows, leader rows, offsets, relative headings, DF mask) per level
-        self.levels = [(slice(i + 1, j + 1), leaders[i:j], offsets[i:j],
-                        relative[i:j], df[i:j])
-                       for i, j in zip(starts[:-1], starts[1:])]
-
-    def targets(self, root: Pose):
-        """Every follower's target ``(positions (N, 3), headings (N,))``
-        for the root pose ``root``, in :attr:`followers` order."""
-        n = len(self.followers) + 1
-        positions, headings = np.empty((n, 3)), np.empty(n)
-        positions[0], headings[0] = root.position, root.heading
-        for rows, leaders, offsets, relative, df in self.levels:
-            positions[rows], headings[rows] = follower_targets(
-                positions[leaders], headings[leaders], offsets, relative, df)
-        return positions[1:], headings[1:]
+    return follower_target(leader, spec, FormationMode.DOUBLE_FIXATION)
 
 
 def formation_targets(leader_poses: dict[str, Pose],
@@ -217,10 +208,9 @@ def formation_targets(leader_poses: dict[str, Pose],
     the root so chained offsets compose."""
     if roles.root_id not in leader_poses:
         raise ValueError(f"missing pose for root {roles.root_id!r}")
-    plan = TargetPlan(roles)
-    positions, headings = plan.targets(leader_poses[roles.root_id])
+    positions, headings = roles.targets(leader_poses[roles.root_id])
     return {f: Pose(position=p, heading=h)
-            for f, p, h in zip(plan.followers, positions, headings)}
+            for f, p, h in zip(roles.followers, positions, headings)}
 
 
 # Attitude inner loop and tilt limit for movement_steps. The attitude loop

@@ -431,16 +431,17 @@ class ApfOutcome(enum.Enum):
     STEP_LIMIT = "step_limit"
 
 
+_APF_BOUND = 100.0        # the APF box is [-100, 100] m on every axis
+_GOAL_TOLERANCE = 0.5     # m from the goal at which apf_plan has reached it
+_STALL_TOLERANCE = 1e-4   # m, a step so short that apf_plan has stalled
+
+
 @dataclass(frozen=True)
 class ObstacleField:
-    """Spherical obstacles plus the goal point inside a bounding box."""
+    """Spherical obstacles plus the goal point inside the APF box."""
 
     goal: np.ndarray
     obstacles: tuple = ()          # (center 3-vector, radius) pairs
-    bounds_lower: np.ndarray = field(
-        default_factory=lambda: np.full(3, -100.0))
-    bounds_upper: np.ndarray = field(
-        default_factory=lambda: np.full(3, 100.0))
     # the obstacles as an (m, 3) centre array and an (m,) radius array
     centers: np.ndarray = field(init=False, repr=False, compare=False)
     radii: np.ndarray = field(init=False, repr=False, compare=False)
@@ -456,17 +457,12 @@ class ObstacleField:
             [c for c, _ in obstacles]).reshape(-1, 3))
         object.__setattr__(self, "radii", np.array(
             [r for _, r in obstacles], dtype=float))
-        object.__setattr__(self, "bounds_lower",
-                           np.asarray(self.bounds_lower, dtype=float))
-        object.__setattr__(self, "bounds_upper",
-                           np.asarray(self.bounds_upper, dtype=float))
 
     def check_start(self, point):
         """Raise ValueError unless ``point`` is a start for :func:`apf_plan`:
         inside the bounds and outside every obstacle."""
         point = np.asarray(point, dtype=float)
-        if np.any(point < self.bounds_lower) or np.any(
-                point > self.bounds_upper):
+        if np.any(np.abs(point) > _APF_BOUND):
             raise ValueError("start must lie inside the bounds")
         with np.errstate(over="ignore"):   # an infinite distance is clear
             offsets = point - self.centers
@@ -513,14 +509,12 @@ def _apf_potential(points: np.ndarray, fld: ObstacleField,
 
 def apf_plan(start, fld: ObstacleField, attract_gain: float = 1.0,
              repel_gain: float = 100.0, influence_radius: float = 5.0,
-             step: float = 0.05, max_steps: int = 10000,
-             goal_tolerance: float = 0.5,
-             stall_tolerance: float = 1e-4):
+             step: float = 0.05, max_steps: int = 10000):
     """Gradient descent on the combined potential.
 
     Returns ``(trajectory, outcome)`` where trajectory is an (n, 3) array.
     A local minimum is declared when the per-step displacement drops below
-    ``stall_tolerance`` while the goal is farther than ``goal_tolerance``.
+    ``_STALL_TOLERANCE`` while the goal is farther than ``_GOAL_TOLERANCE``.
     """
     if step <= 0:
         raise ValueError("step must be > 0")
@@ -531,7 +525,7 @@ def apf_plan(start, fld: ObstacleField, attract_gain: float = 1.0,
     trajectory = [point.copy()]
     outcome = ApfOutcome.STEP_LIMIT
     for _ in range(max_steps):
-        if np.linalg.norm(point - fld.goal) <= goal_tolerance:
+        if np.linalg.norm(point - fld.goal) <= _GOAL_TOLERANCE:
             outcome = ApfOutcome.REACHED_GOAL
             break
         grad = _apf_gradient(point, fld, attract_gain, repel_gain,
@@ -542,12 +536,12 @@ def apf_plan(start, fld: ObstacleField, attract_gain: float = 1.0,
             break
         move = min(step, norm * step)  # shrink near stationary points
         point = point - move * grad / norm
-        point = np.clip(point, fld.bounds_lower, fld.bounds_upper)
+        point = np.clip(point, -_APF_BOUND, _APF_BOUND)
         displacement = float(np.linalg.norm(point - trajectory[-1]))
         trajectory.append(point.copy())
-        if displacement < stall_tolerance:
+        if displacement < _STALL_TOLERANCE:
             outcome = (ApfOutcome.REACHED_GOAL
-                       if np.linalg.norm(point - fld.goal) <= goal_tolerance
+                       if np.linalg.norm(point - fld.goal) <= _GOAL_TOLERANCE
                        else ApfOutcome.LOCAL_MINIMUM)
             break
     return np.array(trajectory), outcome

@@ -1,12 +1,11 @@
 """Closed-loop desk-scale simulators: single-UAV position hold and
 multi-UAV leader-follower formation flight.
 
-The formation simulator advances every follower in lockstep per tick: the
-kinematic leader pose is updated, follower targets are recomputed from the
-role tree, and every follower applies one movement-layer command followed
-by one dynamics step. The followers are held as (N, 3) arrays, so a tick
-is one pass of each batched kernel (:meth:`TargetPlan.targets`,
-:func:`movement_steps`, :func:`step_states`) whatever N is.
+Both fly their UAVs as (N, 3) state arrays: a tick is one pass of
+:func:`movement_steps` and :func:`step_states` whatever N is. Position
+hold flies N = 1 toward a fixed pose; the formation recomputes every
+follower target from the leader's pose on each tick
+(:meth:`RoleGraph.targets`).
 """
 from __future__ import annotations
 
@@ -14,11 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# step_state, movement_step and formation_targets are unused here, but
+# bench/inproc.py wraps them in this namespace by name
 from .dynamics import PidGains, UavParams, UavState, step_state, step_states
-# formation_targets is not called here; bench/inproc.py wraps
-# simulate.formation_targets by name, so the name stays importable from it
-from .formation import (Pose, RoleGraph, TargetPlan,
-                        formation_targets, movement_step, movement_steps)
+from .formation import (Pose, RoleGraph, formation_targets, movement_step,
+                        movement_steps)
 
 __all__ = [
     "simulate_position_hold",
@@ -28,22 +27,35 @@ __all__ = [
 ]
 
 
+def _fly(states, targets, gains: PidGains, params: UavParams, dt: float,
+         duration: float):
+    """Fly the UavStates ``states`` as (N, 3) arrays toward ``targets(t)``,
+    the ``(positions, headings)`` at tick time t. Returns ``(times (n,),
+    positions (N, n, 3))``."""
+    if dt <= 0:
+        raise ValueError("dt must be > 0")
+    times = np.arange(int(round(duration / dt)) + 1) * dt
+    state = tuple(np.array([getattr(s, name) for s in states]).reshape(-1, 3)
+                  for name in ("position", "velocity", "euler", "euler_rates"))
+    tracks = np.empty((len(states), len(times), 3))
+    tracks[:, 0] = state[0]
+    for k in range(len(times) - 1):
+        state = step_states(*state, *movement_steps(
+            *state, *targets(times[k]), gains, params, dt), params, dt)
+        tracks[:, k + 1] = state[0]
+    return times, tracks
+
+
 def simulate_position_hold(initial: UavState, target: Pose, gains: PidGains,
                            params: UavParams, dt: float, duration: float):
     """Fly one UAV toward a fixed pose target.
 
     Returns ``(times, positions)`` with positions of shape (n, 3).
     """
-    n_steps = int(round(duration / dt))
-    state = initial
-    times = np.arange(n_steps + 1) * dt
-    positions = np.empty((n_steps + 1, 3))
-    positions[0] = state.position
-    for k in range(n_steps):
-        control = movement_step(state, target, gains, params, dt)
-        state = step_state(state, control, params, dt)
-        positions[k + 1] = state.position
-    return times, positions
+    hold = (target.position, target.heading)
+    times, (track,) = _fly([initial], lambda t: hold, gains, params, dt,
+                           duration)
+    return times, track
 
 
 def straight_line_leader(start, velocity, heading: float = 0.0):
@@ -81,33 +93,18 @@ def simulate_formation(leader_path, roles: RoleGraph,
     ``leader_path`` maps time to the root Pose; ``initial_states`` holds
     one UavState per follower id in the role graph.
     """
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    plan = TargetPlan(roles)
-    followers = plan.followers
-    missing = [f for f in followers if f not in initial_states]
+    missing = [f for f in roles.followers if f not in initial_states]
     if missing:
         raise ValueError(f"missing initial states for {missing}")
-    n_steps = int(round(duration / dt))
-    times = np.arange(n_steps + 1) * dt
-    start = [initial_states[f] for f in followers]
-    position, velocity, euler, euler_rates = (
-        np.array([getattr(state, name) for state in start]).reshape(-1, 3)
-        for name in ("position", "velocity", "euler", "euler_rates"))
-    leader_positions = np.empty((n_steps + 1, 3))
-    tracks = np.empty((len(followers), n_steps + 1, 3))
-    leader = leader_path(0.0)
-    leader_positions[0], tracks[:, 0] = leader.position, position
-    for k in range(n_steps):
-        target_positions, target_headings = plan.targets(leader)
-        thrust, moments = movement_steps(
-            position, velocity, euler, euler_rates, target_positions,
-            target_headings, gains, params, dt)
-        position, velocity, euler, euler_rates = step_states(
-            position, velocity, euler, euler_rates, thrust, moments, params,
-            dt)
-        tracks[:, k + 1] = position
-        leader = leader_path(times[k + 1])
-        leader_positions[k + 1] = leader.position
-    return FormationTrace(times=times, leader_positions=leader_positions,
-                          follower_positions=dict(zip(followers, tracks)))
+    leader_positions = []
+
+    def targets(t):
+        leader = leader_path(t)
+        leader_positions.append(leader.position)
+        return roles.targets(leader)
+
+    times, tracks = _fly([initial_states[f] for f in roles.followers],
+                         targets, gains, params, dt, duration)
+    leader_positions.append(leader_path(times[-1]).position)
+    return FormationTrace(times, np.array(leader_positions),
+                          dict(zip(roles.followers, tracks)))

@@ -161,7 +161,6 @@ class OptimizerRun:
     best_position: np.ndarray
     best_value: float
     trace: list[float] = field(default_factory=list)
-    iterations_used: int = 0
 
 
 def pso_step(positions: np.ndarray, velocities: np.ndarray,
@@ -229,7 +228,7 @@ def pso_optimize(fitness: Fitness, space: SearchSpace,
             best_position = personal_bests[g].copy()
         trace.append(best_value)
     return OptimizerRun(best_position=best_position, best_value=best_value,
-                        trace=trace, iterations_used=config.max_iters)
+                        trace=trace)
 
 
 def gwo_step(positions: np.ndarray, alpha: np.ndarray, beta: np.ndarray,
@@ -283,7 +282,7 @@ def gwo_optimize(fitness: Fitness, space: SearchSpace,
             best_position = positions[ia].copy()
         trace.append(best_value)
     return OptimizerRun(best_position=best_position, best_value=best_value,
-                        trace=trace, iterations_used=config.max_iters)
+                        trace=trace)
 
 
 def wpa_optimize(fitness: Fitness, space: SearchSpace,
@@ -371,4 +370,4 @@ def wpa_optimize(fitness: Fitness, space: SearchSpace,
                 lead = w
         trace.append(best_value)
     return OptimizerRun(best_position=best_position, best_value=best_value,
-                        trace=trace, iterations_used=config.max_iters)
+                        trace=trace)

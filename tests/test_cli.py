@@ -298,6 +298,18 @@ MALFORMED = [
     ("wind", "wind.sigma", [1e300, 1, 1], "wind.sigma"),
     ("channel", "channel.link.tx_height", 1e300, "channel.link"),
     ("channel", "channel.link.wavelength", 1e300, "channel.link"),
+    ("dynamics", "duration", -1, "duration"),
+    ("formation", "duration", -0.5, "duration"),
+    ("dynamics", "dt", 1e-300, "duration"),
+    ("formation", "duration", 1e300, "duration"),
+    ("dynamics", "dt", 5e-324, "duration"),
+    ("wind", "wind", {"component": "w", "omega_log_max": 200},
+     "wind.omega_log_max"),
+    ("wind", "wind", {"component": "v", "omega_log_min": 200},
+     "wind.omega_log_min"),
+    ("wind", "wind", {"component": "w", "sample_spacing": 1e-300},
+     "wind.sample_spacing"),
+    ("wind", "wind.sample_spacing", 0, "wind.sample_spacing"),
 ]
 
 
@@ -326,11 +338,14 @@ def test_unknown_keys_warn_one_line_each(tmp_path, config_dict, capsys):
     config_dict["optimize"]["n_particle"] = 40
     config_dict["formation"]["edges"][0][2]["ofset"] = [1, 2, 3]
     config_dict["sed"] = 3
+    # a UavParams field that nothing read, deleted from the class
+    config_dict["dynamics"].setdefault("params", {})["rotor_disc_area"] = 0.05
     path = _write(tmp_path, config_dict)
     assert main(["validate", "--config", path]) == EXIT_OK
     assert sorted(capsys.readouterr().err.splitlines()) == [
         f"warning: config: {key}: unknown key, ignored"
-        for key in ("formation.edges[0][2].ofset", "optimize.n_particle",
+        for key in ("dynamics.params.rotor_disc_area",
+                    "formation.edges[0][2].ofset", "optimize.n_particle",
                     "sed")]
 
 

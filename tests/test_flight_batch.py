@@ -1,7 +1,7 @@
-"""Batched flight loop tests: the struct-of-arrays formation loop against
-the per-UAV loop it replaced, row independence of the batched kernels, and
-a structural guard that the loop's per-tick cost has no per-UAV or per-tick
-graph work in it."""
+"""Batched flight loop tests: the struct-of-arrays formation and
+position-hold loops against the per-UAV loops they replaced, row
+independence of the batched kernels, and a structural guard that neither
+loop's per-tick cost has per-UAV or per-tick graph work in it."""
 import math
 
 import numpy as np
@@ -55,6 +55,20 @@ def oracle_formation(leader_path, roles, initial_states, gains, params, dt,
             states[f] = step_state(states[f], control, params, dt)
             positions[f].append(states[f].position)
     return {f: np.array(p) for f, p in positions.items()}
+
+
+def oracle_position_hold(initial, target, gains, params, dt, duration):
+    """The per-tick position-hold loop, from the public one-row functions:
+    one command and one dynamics step per tick on a UavState."""
+    n_steps = int(round(duration / dt))
+    state = initial
+    positions = np.empty((n_steps + 1, 3))
+    positions[0] = state.position
+    for k in range(n_steps):
+        control = movement_step(state, target, gains, params, dt)
+        state = step_state(state, control, params, dt)
+        positions[k + 1] = state.position
+    return np.arange(n_steps + 1) * dt, positions
 
 
 def turning_leader(start, velocity, heading0, turn_rate):
@@ -147,6 +161,39 @@ def test_no_followers_and_bad_dt():
         with pytest.raises(ValueError, match="dt"):
             simulate.simulate_formation(leader, roles, {}, GAINS, PARAMS, dt,
                                         0.5)
+        # position hold raised ZeroDivisionError at dt = 0
+        with pytest.raises(ValueError, match="dt"):
+            simulate.simulate_position_hold(
+                UavState.at_rest(), Pose(position=(1.0, 0.0, 0.0)), GAINS,
+                PARAMS, dt, 0.5)
+
+
+target_coords = st.one_of(st.just(-0.0), st.just(0.0), coords)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(coords, coords, coords),
+       st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+       st.tuples(headings, st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)),
+       st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+       st.tuples(target_coords, target_coords, target_coords), headings,
+       st.floats(0.5, 40.0), st.floats(0.5, 20.0), st.floats(0.2, 5.0),
+       st.integers(0, 150))
+def test_position_hold_equals_per_tick_loop(position, velocity, euler,
+                                            euler_rates, target, heading,
+                                            kp, kd, mass, n_steps):
+    start = UavState(position=np.array(position),
+                     velocity=np.array(velocity), euler=np.array(euler),
+                     euler_rates=np.array(euler_rates))
+    pose = Pose(position=target, heading=heading)
+    gains = PidGains(kp=kp, kd=kd)
+    params = UavParams(mass=mass, thrust_coeff=1e-5)
+    times, positions = simulate.simulate_position_hold(
+        start, pose, gains, params, DT, n_steps * DT)
+    expected_times, expected = oracle_position_hold(
+        start, pose, gains, params, DT, n_steps * DT)
+    assert np.array_equal(times, expected_times)
+    assert positions.tobytes() == expected.tobytes()
 
 
 @st.composite
@@ -206,14 +253,15 @@ def test_movement_steps_rows_equal_movement_step(rows):
 
 
 def test_formation_loop_has_no_per_uav_or_per_tick_graph_work(monkeypatch):
-    """The loop runs with the one-row functions disabled, and sorts the
-    role graph as often for 10 ticks as for 200."""
+    """Both loops run with the one-row functions disabled, build no
+    UavState or ControlInput, and sort no role graph: the graph sorts
+    once, when it is built."""
     def disabled(*args, **kwargs):
         raise AssertionError("one-row function called by the batched loop")
 
     for name in ("step_state", "movement_step", "formation_targets"):
         monkeypatch.setattr(simulate, name, disabled)
-    sorts = []
+    sorts, built = [], []
     original = RoleGraph.topological_followers
 
     def counted(self):
@@ -226,16 +274,26 @@ def test_formation_loop_has_no_per_uav_or_per_tick_graph_work(monkeypatch):
                                  (-5.0, 5.0, 0.0))),
         ("a", "b", FormationSpec(FormationMode.DOUBLE_FIXATION,
                                  (-5.0, 0.0, 0.0), 0.3))))
+    assert sorts == ["L"]
     leader = turning_leader((0.0, 0.0, 10.0), (0.5, 0.0, 0.0), 0.2, 0.1)
     states = {f: UavState.at_rest((0.0, 0.0, 10.0)) for f in ("a", "b")}
+    hold_start, hold_target = UavState.at_rest(), Pose(position=(1.0, 2.0,
+                                                                 3.0))
+    for cls in (UavState, ControlInput):
+        monkeypatch.setattr(cls, "__post_init__",
+                            lambda self, cls=cls: built.append(cls))
     counts = []
     for duration in (0.1, 2.0):
         sorts.clear()
         trace = simulate.simulate_formation(leader, roles, states, GAINS,
                                             PARAMS, DT, duration)
         assert len(trace.times) == round(duration / DT) + 1
+        times, _ = simulate.simulate_position_hold(
+            hold_start, hold_target, GAINS, PARAMS, DT, duration)
+        assert len(times) == round(duration / DT) + 1
         counts.append(len(sorts))
-    assert counts[0] == counts[1] >= 1
+    assert counts == [0, 0]
+    assert built == []
 
 
 def test_leader_outside_the_tree_rejected():
