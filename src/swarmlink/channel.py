@@ -101,7 +101,9 @@ def two_ray_received_power(link: LinkParams, distance: float | None = None):
 
     Pr = Pt * (lambda/4pi)^2 * |sqrt(G)/d_los + R*exp(j*phi)*sqrt(G)/d_ref|^2
     with phi = 2*pi*(d_ref - d_los)/lambda and G = Gt*Gr on both paths.
-    With R = 0 this reduces to Friis evaluated at d_los.
+    With R = 0 this reduces to Friis evaluated at d_los. The path
+    difference is taken as 4*h_t*h_r / (d_ref + d_los), which equals
+    d_ref - d_los without the cancellation that zeroes it at long range.
     """
     d = link.distance if distance is None else distance
     d = np.asarray(d, dtype=float)
@@ -113,7 +115,8 @@ def two_ray_received_power(link: LinkParams, distance: float | None = None):
     sh = link.tx_height + link.rx_height
     d_los = np.sqrt(d ** 2 + dh ** 2)
     d_ref = np.sqrt(d ** 2 + sh ** 2)
-    phi = 2.0 * np.pi * (d_ref - d_los) / link.wavelength
+    path_difference = 4.0 * link.tx_height * link.rx_height / (d_ref + d_los)
+    phi = 2.0 * np.pi * path_difference / link.wavelength
     gain = math.sqrt(link.tx_gain * link.rx_gain)
     field = gain / d_los + link.ground_reflection * np.exp(1j * phi) * gain / d_ref
     return link.tx_power * (link.wavelength / (4.0 * np.pi)) ** 2 * np.abs(field) ** 2

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import enum
-import hashlib
 import json
 import math
 import sys
@@ -21,10 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import channel, linkbudget, network, simulate, swarm_opt, wind
-from .dynamics import PidGains, UavParams, UavState
-from .formation import (FormationMode, FormationSpec, Pose, RoleGraph,
-                        formation_targets)
+import swarmlink   # its modules load on first use (swarmlink.<module>)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -37,6 +33,7 @@ class ConfigError(ValueError):
 
 
 def derive_seed(seed: int, tag: str) -> int:
+    import hashlib   # loads OpenSSL, which validating never needs
     digest = hashlib.sha256(f"{seed}:{tag}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
@@ -88,8 +85,10 @@ def _load_config(path: str, seed: int | None = None):
 #   dataclass instance     an object of the class's fields but ``seed``
 #                          (every seed derives from the top-level one),
 #                          applied with replace() so the class checks them
-#   function               a parser: optional sections, arrays and maps
-# _CHECKS holds the constraints that no library type checks.
+#   function               a parser: sections, arrays and maps
+# _CHECKS holds the constraints that no library type checks. A section's
+# schema is built, and its library module imported, only when the config
+# holds the section.
 
 _ABSENT = object()   # a field the config does not give
 _JSON_TYPES = {bool: ("boolean", (bool,)), int: ("integer", (int,)),
@@ -171,14 +170,14 @@ def _merge(value, schema, path: str, unknown: list):
     return value
 
 
-def _section(schema: dict, build=lambda section: section, optional=True):
-    """An object passed to ``build``; None when left out and ``optional``."""
+def _section(schema, build=lambda section: section):
+    """An object passed to ``build``, None when left out; ``schema()``
+    builds its schema only when the config holds it."""
     def parse(value, path, unknown):
-        if value is _ABSENT and optional:
+        if value is _ABSENT:
             return None
         with _at(path):
-            return build(_object({} if value is _ABSENT else value, schema,
-                                 path, unknown))
+            return build(_object(value, schema(), path, unknown))
     return parse
 
 
@@ -223,6 +222,7 @@ def _finite_at_ends(sweep: dict, path: str, whole: str, curves) -> None:
 
 # Build steps: the library objects that span several fields.
 def _wind(w: dict) -> dict:
+    from . import wind
     with _at("wind.shear_p"):
         wind.WindShearCoeff(w["shear_p"])
     spec = w["spec"] = wind.TurbulenceSpec(w["sigma"], w["length"], w["model"])
@@ -250,21 +250,21 @@ def _wind(w: dict) -> dict:
     return w
 
 
-_OPTIMIZERS = {"pso": swarm_opt.PsoConfig(), "gwo": swarm_opt.GwoConfig(),
-               "wpa": swarm_opt.WpaConfig()}
-_FITNESS = {"sphere": swarm_opt.sphere, "rastrigin": swarm_opt.rastrigin}
+_OPTIMIZERS = ("pso", "gwo", "wpa")   # swarm_opt.<name>_optimize
+_FITNESS = ("sphere", "rastrigin")    # swarm_opt.<name>
 _SWARM_SIZES = ("n_particles", "n_wolves", "max_iters")   # else class defaults
 
 
 def _optimize(o: dict) -> dict:
-    default = _OPTIMIZERS[o["algorithm"]]
+    from . import swarm_opt
+    default = getattr(swarm_opt, f"{o['algorithm'].capitalize()}Config")()
     # one-dimensional, so that validating allocates nothing per ``dim``
     swarm_opt.SearchSpace(lower=o["lower"], upper=o["upper"])
     # at the box's farthest corner the fitness is dim equal terms; dim may
     # be an int too large for a float, so it is only compared
     far = max(("upper", "lower"), key=lambda k: abs(o[k]))
     with np.errstate(over="ignore"):
-        term = _FITNESS[o["function"]](np.array([float(o[far])]))
+        term = getattr(swarm_opt, o["function"])(np.array([float(o[far])]))
     if not (term == 0 or o["dim"] <= sys.float_info.max / term):
         key = far if math.isinf(term) else "dim"
         raise ConfigError(f"optimize.{key}: {o['function']} is not finite at "
@@ -276,6 +276,7 @@ def _optimize(o: dict) -> dict:
 
 
 def _formation(f: dict) -> dict:
+    from .formation import RoleGraph
     _need(f, "formation", "root", "edges")
     f["roles"] = RoleGraph(root_id=f["root"], edges=tuple(f["edges"]))
     return f
@@ -286,6 +287,7 @@ _BUDGET_FIGURES = ("noise_bandwidth_hz", "noise_figure_db", "rx_threshold_db")
 
 
 def _channel(c: dict) -> dict:
+    from . import channel
     for i, ebn0_db in enumerate(c["ebn0_db"]):
         with _at(f"channel.ebn0_db[{i}]"):
             channel.noise_sigma(ebn0_db)
@@ -298,6 +300,7 @@ def _channel(c: dict) -> dict:
 
 
 def _budget(b: dict) -> dict:
+    from . import linkbudget
     if b["use_reference"]:
         return {**b, "antenna": linkbudget.reference_antenna(),
                 "config": linkbudget.reference_budget_config()}
@@ -311,11 +314,16 @@ def _budget(b: dict) -> dict:
 
 
 def _network(n: dict) -> dict:
+    from . import network
     with _at("network.n_groups"):
         network.check_groups(n["kind"], n["n_uavs"], n["n_groups"])
     if n["positions"] is not None:
         with _at("network.positions"):
             network.check_positions(n["n_uavs"], n["positions"])
+    elif not math.isfinite(3.0 * n["link_range"] * n["link_range"]):
+        # the seeded draw fills a cube of side link_range
+        raise ConfigError("network.link_range: distances between the drawn "
+                          "positions overflow")
     for key in ("src", "dst"):
         if not network.is_node(n["n_uavs"], n[key]):
             raise ConfigError(f"network.{key}: unknown node {n[key]!r}")
@@ -323,13 +331,20 @@ def _network(n: dict) -> dict:
 
 
 def _apf(a: dict) -> dict:
+    from . import network
     a["field"] = network.ObstacleField(a["goal"], tuple(a["obstacles"]))
     with _at("network.apf.start"):
         a["field"].check_start(a["start"])
+    overflow = network.gradient_overflow(
+        a["field"], a["attract_gain"], a["repel_gain"], a["influence_radius"])
+    if overflow:
+        raise ConfigError(f"network.apf.{overflow}: the gradient overflows "
+                          "where it is largest")
     return a
 
 
 def _berdist(b: dict) -> dict:
+    from . import linkbudget
     if b["use_reference"]:
         b.update(zip(("link", "data_rate", "noise_power_dbm"),
                      linkbudget.reference_ber_distance_link()))
@@ -367,48 +382,64 @@ _CHECKS = {"dt": (lambda dt: dt > 0, "must be > 0"),
                             "network.apf.max_steps"),
                            (lambda n: n >= 0, "must be >= 0"))}
 _MAX_STEPS = np.iinfo(np.intp).max   # ticks of dynamics and formation
-_UAV = UavParams(mass=1.0, thrust_coeff=1e-5)
-_LINK = channel.LinkParams(tx_power=50.0, wavelength=0.125, distance=2000.0)
 _VEC3 = (0.0, 0.0, 0.0)
+
+
+def _uav():
+    return swarmlink.dynamics.UavParams(mass=1.0, thrust_coeff=1e-5)
+
+
+def _link():
+    return swarmlink.channel.LinkParams(tx_power=50.0, wavelength=0.125,
+                                        distance=2000.0)
+
 
 DEFAULTS = {
     "seed": 0, "dt": 0.01, "duration": 10.0,
-    "dynamics": _section({
-        "params": _UAV, "gains": PidGains(kp=4.0, kd=4.0),
+    "dynamics": _section(lambda: {
+        "params": _uav(),
+        "gains": swarmlink.dynamics.PidGains(kp=4.0, kd=4.0),
         "initial_position": _VEC3, "target_position": (1.0, 0.0, 0.0)}),
-    "wind": _section({
+    "wind": _section(lambda: {
         "sigma": (1.0, 1.0, 1.0), "length": (200.0, 200.0, 50.0),
-        "model": wind.TurbulenceModel.DRYDEN, "component": "u",
+        "model": swarmlink.wind.TurbulenceModel.DRYDEN, "component": "u",
         "omega_log_min": -4.0, "omega_log_max": 1.0, "n_omega": 200,
         "sample_spacing": 1.0, "n_samples": 4096, "shear_p": 0.0}, _wind),
-    "optimize": _section({
+    "optimize": _section(lambda: {
         "algorithm": "pso", "function": "sphere", "dim": 10, "lower": -5.0,
         "upper": 5.0, **dict.fromkeys(_SWARM_SIZES, int)}, _optimize),
-    "formation": _section({
-        "root": str, "edges": _many((str, str, FormationSpec(
-            FormationMode.FIXED_GLOBAL_DIFFERENCE, _VEC3))),
+    "formation": _section(lambda: {
+        "root": str,
+        "edges": _many((str, str, swarmlink.formation.FormationSpec(
+            swarmlink.formation.FormationMode.FIXED_GLOBAL_DIFFERENCE,
+            _VEC3))),
         "leader_start": (0.0, 0.0, 10.0), "leader_velocity": (0.5, 0.0, 0.0),
-        "gains": PidGains(kp=16.0, kd=8.0), "params": _UAV}, _formation),
-    "channel": _section({
-        "link": _LINK, "fading": channel.FadingParams(),
+        "gains": swarmlink.dynamics.PidGains(kp=16.0, kd=8.0),
+        "params": _uav()}, _formation),
+    "channel": _section(lambda: {
+        "link": _link(), "fading": swarmlink.channel.FadingParams(),
         "ebn0_db": _many(0.0, [0, 2, 4, 6, 8]), "n_bits": 100000,
         "constellation_ebn0_db": 10.0, "sweep": {
             "d_min": 10.0, "d_max": 100000.0, "n": 500}}, _channel),
-    "budget": _section({   # without use_reference, the ledger is required
-        "use_reference": True, "antenna": linkbudget.reference_antenna(),
+    # without use_reference, the ledger is required
+    "budget": _section(lambda: {
+        "use_reference": True,
+        "antenna": swarmlink.linkbudget.reference_antenna(),
         **dict.fromkeys(_BUDGET_ITEMS, _many((str, float))),
         **dict.fromkeys(_BUDGET_FIGURES, float),
         "printed_totals": _many(0.0, {}, keyed=True),
         "text_values": _many(0.0, {}, keyed=True)}, _budget),
-    "berdist": _section({
-        "use_reference": True, "link": _LINK, "data_rate": float,
+    # left out, it is parsed from {} by the berdist subcommand alone
+    "berdist": _section(lambda: {
+        "use_reference": True, "link": _link(), "data_rate": float,
         "noise_power_dbm": float, "d_min": 100.0, "d_max": 10000.0,
-        "n": 200}, _berdist, optional=False),
-    "network": _section({
-        "kind": network.TopologyKind.STAR, "n_uavs": 4, "n_groups": 1,
-        "link_range": 100.0, "src": "u0", "dst": network.GROUND_STATION_ID,
+        "n": 200}, _berdist),
+    "network": _section(lambda: {
+        "kind": swarmlink.network.TopologyKind.STAR, "n_uavs": 4,
+        "n_groups": 1, "link_range": 100.0, "src": "u0",
+        "dst": swarmlink.network.GROUND_STATION_ID,
         "positions": _many(_VEC3, None, keyed=True),   # None: seeded draw
-        "apf": _section({
+        "apf": _section(lambda: {
             "start": _VEC3, "goal": (10.0, 0.0, 0.0),
             "obstacles": _many((_VEC3, 1.0), []), "attract_gain": 1.0,
             "repel_gain": 100.0, "influence_radius": 5.0, "step": 0.05,
@@ -418,7 +449,7 @@ DEFAULTS = {
 
 def parse_config(config: dict) -> tuple[dict, list[str], list[str]]:
     """Merge ``config`` onto :data:`DEFAULTS`: ``(scenario, violations,
-    unknown keys)``. Sections left out are None, except ``berdist``."""
+    unknown keys)``. Sections left out are None."""
     violations, unknown = [], []
     scenario = _object(config, DEFAULTS, "", unknown, violations)
     steps = scenario.get("duration", 0) / scenario.get("dt", math.inf)
@@ -439,6 +470,9 @@ def validate_config(config: dict) -> list[str]:
 # run_<name> runs the scenario's <name> section and writes into ``out``.
 
 def run_dynamics(scenario: dict, out: Path) -> list[Path]:
+    from . import simulate
+    from .dynamics import UavState
+    from .formation import Pose
     section = scenario["dynamics"]
     times, positions = simulate.simulate_position_hold(
         UavState.at_rest(section["initial_position"]),
@@ -449,6 +483,7 @@ def run_dynamics(scenario: dict, out: Path) -> list[Path]:
 
 
 def run_wind(scenario: dict, out: Path) -> list[Path]:
+    from . import wind
     section = scenario["wind"]
     spec, component = section["spec"], section["component"]
     omega = np.logspace(section["omega_log_min"], section["omega_log_max"],
@@ -464,6 +499,7 @@ def run_wind(scenario: dict, out: Path) -> list[Path]:
 
 
 def run_optimize(scenario: dict, out: Path) -> list[Path]:
+    from . import swarm_opt
     section = scenario["optimize"]
     algorithm, dim = section["algorithm"], section["dim"]
     space = swarm_opt.SearchSpace(lower=np.full(dim, section["lower"]),
@@ -471,20 +507,22 @@ def run_optimize(scenario: dict, out: Path) -> list[Path]:
     config = replace(section["config"], seed=derive_seed(
         scenario["seed"], f"optimize:{algorithm}"))
     run = getattr(swarm_opt, f"{algorithm}_optimize")(
-        _FITNESS[section["function"]], space, config)
+        getattr(swarm_opt, section["function"]), space, config)
     return [_write_csv(out / f"convergence_{algorithm}.csv",
                        ["iteration", "best_value"], range(len(run.trace)),
                        run.trace)]
 
 
 def run_formation(scenario: dict, out: Path) -> list[Path]:
+    from . import formation, simulate
+    from .dynamics import UavState
     section = scenario["formation"]
     roles = section["roles"]
     leader_path = simulate.straight_line_leader(section["leader_start"],
                                                 section["leader_velocity"])
     initial = {follower: UavState.at_rest(pose.position) for follower, pose
-               in formation_targets({roles.root_id: leader_path(0.0)},
-                                    roles).items()}
+               in formation.formation_targets(
+                   {roles.root_id: leader_path(0.0)}, roles).items()}
     trace = simulate.simulate_formation(
         leader_path, roles, initial, section["gains"], section["params"],
         scenario["dt"], scenario["duration"])
@@ -497,6 +535,7 @@ def run_formation(scenario: dict, out: Path) -> list[Path]:
 
 
 def run_channel(scenario: dict, out: Path) -> list[Path]:
+    from . import channel
     section = scenario["channel"]
     link, sweep = section["link"], section["sweep"]
     d = np.logspace(math.log10(sweep["d_min"]), math.log10(sweep["d_max"]),
@@ -547,6 +586,7 @@ def _budget_report_text(budget) -> str:
 
 
 def run_budget(scenario: dict, out: Path) -> list[Path]:
+    from . import linkbudget
     section = scenario["budget"]
     antenna, mode = section["antenna"], linkbudget.BudgetMode.CORRECTED_SUM
     if scenario["mode"] == "paper":
@@ -571,6 +611,7 @@ def run_budget(scenario: dict, out: Path) -> list[Path]:
 
 
 def run_berdist(scenario: dict, out: Path) -> list[Path]:
+    from . import linkbudget
     section = scenario["berdist"]
     d = np.logspace(math.log10(section["d_min"]),
                     math.log10(section["d_max"]), section["n"])
@@ -586,6 +627,7 @@ def run_berdist(scenario: dict, out: Path) -> list[Path]:
 
 
 def run_network(scenario: dict, out: Path) -> list[Path]:
+    from . import network
     section = scenario["network"]
     n_uavs, link_range = section["n_uavs"], section["link_range"]
     positions = section["positions"]
@@ -649,7 +691,10 @@ def main(argv=None) -> int:
             print("configuration valid")
             return EXIT_OK
         if scenario[args.subcommand] is None:
-            raise ConfigError(f"{args.subcommand}: section required")
+            if args.subcommand != "berdist":
+                raise ConfigError(f"{args.subcommand}: section required")
+            # without a section, berdist runs the reference link
+            scenario["berdist"] = DEFAULTS["berdist"]({}, "berdist", [])
         scenario["mode"] = args.mode
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -658,7 +703,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (ValueError, KeyError, network.TopologyError) as exc:
+    except (ValueError, KeyError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except OSError as exc:
@@ -667,6 +712,14 @@ def main(argv=None) -> int:
     for path in outputs:
         print(path)
     return EXIT_OK
+
+
+def __getattr__(name: str):
+    # the benchmark's tracer (bench/inproc.py) wraps cli.formation_targets;
+    # no code of the program reads it
+    if name == "formation_targets":
+        return swarmlink.formation.formation_targets
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 if __name__ == "__main__":

@@ -87,12 +87,10 @@ class AntennaSpec:
 
     freq_low: float          # Hz
     freq_high: float         # Hz
-    gain_dbi: float
     vswr: float
     input_power: float       # W delivered to the antenna
     input_impedance: float   # ohm
     rx_threshold_dbm: float
-    link_length: float       # m
     operational_temp: float  # K
     standard_temp: float = 298.0
 
@@ -328,12 +326,10 @@ def reference_antenna() -> AntennaSpec:
     return AntennaSpec(
         freq_low=2.2e9,
         freq_high=2.4e9,
-        gain_dbi=3.0,
         vswr=1.5,
         input_power=50.0,
         input_impedance=50.0,
         rx_threshold_dbm=-85.0,
-        link_length=2000.0,
         operational_temp=358.0,
     )
 

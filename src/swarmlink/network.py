@@ -30,6 +30,7 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +54,7 @@ __all__ = [
     "is_node",
     "check_groups",
     "check_positions",
+    "gradient_overflow",
 ]
 
 GROUND_STATION_ID = "gs"
@@ -163,11 +165,10 @@ def _mesh_in_range(graph: TopologyGraph, members: list[str],
             adjacency[b][a] = cost
 
 
-def _require_connected(graph: TopologyGraph, members: list[str],
-                       context: str):
-    # a walk that leaves the members returns by the member it left by (a
-    # master's own group), so the whole graph joins the same members
-    *_, (reached, _, _) = _flood_rounds(graph, members[0])
+def _require_connected(adjacency: dict, members: list[str], context: str):
+    """Raise TopologyError naming the ``members`` that a flood over
+    ``adjacency`` from the first member does not reach."""
+    *_, (reached, _, _) = _flood_rounds(adjacency, members[0])
     orphans = sorted(set(members) - reached)
     if orphans:
         raise TopologyError(
@@ -209,6 +210,16 @@ def check_positions(n_uavs: int, positions):
                 - len(shown))
         raise ValueError(f"missing positions for {shown}"
                          + (f" and {more} more" if more else ""))
+    # norm() squares a distance before its square root; the diagonal of
+    # the box around the nodes bounds every distance between them (every
+    # node has a position now, so n_uavs < len(positions))
+    nodes = [positions[GROUND_STATION_ID],
+             *(positions[f"u{i}"] for i in range(n_uavs))]
+    with np.errstate(over="ignore", invalid="ignore"):
+        box = np.ptp(nodes, axis=0)
+    diagonal = math.hypot(*np.ravel(box).tolist())
+    if not math.isfinite(diagonal * diagonal):
+        raise ValueError("nodes lie too far apart: their distances overflow")
 
 
 def build_topology(kind: TopologyKind, n_uavs: int, n_groups: int,
@@ -251,7 +262,8 @@ def build_topology(kind: TopologyKind, n_uavs: int, n_groups: int,
         for s in slaves:
             _add_node(graph, s, NodeRole.SLAVE_UAV)
         _mesh_in_range(graph, group, link_range)
-        _require_connected(graph, group, "ad hoc group")
+        # so far the members of a group link only to each other
+        _require_connected(graph.adjacency, group, "ad hoc group")
 
     if kind in (TopologyKind.SINGLE_GROUP_AD_HOC,
                 TopologyKind.MULTI_GROUP_AD_HOC):
@@ -261,7 +273,11 @@ def build_topology(kind: TopologyKind, n_uavs: int, n_groups: int,
 
     if kind is TopologyKind.MULTI_LAYER_AD_HOC:
         _mesh_in_range(graph, masters, link_range)
-        _require_connected(graph, masters, "master layer")
+        # slaves link only inside their own group, so masters reach each
+        # other over master-master edges alone
+        layer = set(masters)
+        _require_connected({m: [n for n in graph.adjacency[m] if n in layer]
+                            for m in masters}, masters, "master layer")
         _add_edge(graph, masters[0], GROUND_STATION_ID)
         return graph
 
@@ -277,10 +293,11 @@ def route_shortest(graph: TopologyGraph, src: str,
     return astar(graph, src, dst, heuristic=lambda a, b: 0.0)[0]
 
 
-def _flood_rounds(graph: TopologyGraph, src: str):
-    """Flood from ``src`` in synchronous rounds; yield ``(delivered,
-    messages, depth)`` before the first round and after each round until
-    no node forwards. ``delivered`` is one set, updated in place."""
+def _flood_rounds(adjacency: dict, src: str):
+    """Flood from ``src`` over ``adjacency`` (node -> its neighbours) in
+    synchronous rounds; yield ``(delivered, messages, depth)`` before the
+    first round and after each round until no node forwards.
+    ``delivered`` is one set, updated in place."""
     delivered = {src}
     frontier: list[tuple[str, str | None]] = [(src, None)]
     messages = depth = 0
@@ -288,7 +305,7 @@ def _flood_rounds(graph: TopologyGraph, src: str):
         yield delivered, messages, depth
         next_frontier = []
         for sender, came_from in frontier:
-            for nb in graph.adjacency[sender]:
+            for nb in adjacency[sender]:
                 if nb == came_from:
                     continue
                 messages += 1
@@ -315,8 +332,8 @@ def flood(graph: TopologyGraph, src: str, ttl: int) -> PropagationResult:
     if ttl < 0:
         raise ValueError("ttl must be >= 0")
     # the state after ttl rounds, or after the last if the flood ends first
-    *_, (_, (delivered, messages, depth)) = zip(range(ttl + 1),
-                                              _flood_rounds(graph, src))
+    rounds = _flood_rounds(graph.adjacency, src)
+    *_, (_, (delivered, messages, depth)) = zip(range(ttl + 1), rounds)
     return PropagationResult(delivered=delivered, total_messages=messages,
                              hop_count=depth)
 
@@ -325,7 +342,7 @@ def compare_propagation(graph: TopologyGraph, src: str, dst: str) -> dict:
     """Side-by-side routing vs flooding metrics for one (src, dst) pair."""
     routed = route_shortest(graph, src, dst)
     # flood just deep enough to reach dst (whole graph if unreachable)
-    for delivered, messages, depth in _flood_rounds(graph, src):
+    for delivered, messages, depth in _flood_rounds(graph.adjacency, src):
         if dst in delivered:
             break
     return {
@@ -347,7 +364,7 @@ def compare_propagation(graph: TopologyGraph, src: str, dst: str) -> dict:
 
 def route_hops(graph: TopologyGraph, src: str, dst: str) -> int:
     """Minimum hop count between two nodes (BFS); -1 if unreachable."""
-    for delivered, _, depth in _flood_rounds(graph, src):
+    for delivered, _, depth in _flood_rounds(graph.adjacency, src):
         if dst in delivered:
             return depth
     return -1
@@ -434,6 +451,12 @@ class ApfOutcome(enum.Enum):
 _APF_BOUND = 100.0        # the APF box is [-100, 100] m on every axis
 _GOAL_TOLERANCE = 0.5     # m from the goal at which apf_plan has reached it
 _STALL_TOLERANCE = 1e-4   # m, a step so short that apf_plan has stalled
+_SURFACE_FLOOR = 1e-9     # m, the distance of a point on or in an obstacle
+
+
+def _reach(point: np.ndarray) -> float:
+    """The largest distance from ``point`` to a point of the APF box."""
+    return math.hypot(*(abs(x) + _APF_BOUND for x in point.tolist()))
 
 
 @dataclass(frozen=True)
@@ -452,6 +475,14 @@ class ObstacleField:
                           for c, r in self.obstacles)
         if any(r <= 0 for _, r in obstacles):
             raise ValueError("obstacle radii must be > 0")
+        # norm() squares the distances of the goal and of every centre from
+        # the points of the box
+        centres = (("an obstacle centre", c) for c, _ in obstacles)
+        for what, point in (("goal", self.goal), *centres):
+            reach = _reach(point)
+            if not math.isfinite(reach * reach):
+                raise ValueError(f"{what} lies too far from the bounds: its "
+                                 "distance overflows")
         object.__setattr__(self, "obstacles", obstacles)
         object.__setattr__(self, "centers", np.array(
             [c for c, _ in obstacles]).reshape(-1, 3))
@@ -464,9 +495,8 @@ class ObstacleField:
         point = np.asarray(point, dtype=float)
         if np.any(np.abs(point) > _APF_BOUND):
             raise ValueError("start must lie inside the bounds")
-        with np.errstate(over="ignore"):   # an infinite distance is clear
-            offsets = point - self.centers
-            inside = np.sqrt(np.vecdot(offsets, offsets)) <= self.radii
+        offsets = point - self.centers
+        inside = np.sqrt(np.vecdot(offsets, offsets)) <= self.radii
         if inside.any():
             raise ValueError("start must lie outside every obstacle")
 
@@ -479,7 +509,7 @@ def _apf_gradient(point: np.ndarray, fld: ObstacleField, attract_gain: float,
     offsets = point - fld.centers
     norms = np.sqrt(np.vecdot(offsets, offsets))
     dist = norms - fld.radii
-    dist[dist <= 0] = 1e-9
+    dist[dist <= 0] = _SURFACE_FLOOR
     near = dist < influence_radius
     if near.any():
         d = dist[near]
@@ -498,13 +528,30 @@ def _apf_potential(points: np.ndarray, fld: ObstacleField,
     for center, radius in zip(fld.centers, fld.radii):
         offsets = points - center
         dist = np.sqrt(np.vecdot(offsets, offsets)) - radius
-        dist[dist <= 0] = 1e-9
+        dist[dist <= 0] = _SURFACE_FLOOR
         near = dist < influence_radius
         # float_power is libm pow, as Python's float ** 2 is; the square
         # that ndarray ** 2 computes rounds differently on some values
         value[near] += 0.5 * repel_gain * np.float_power(
             1.0 / dist[near] - 1.0 / influence_radius, 2)
     return value
+
+
+def gradient_overflow(fld: ObstacleField, attract_gain: float,
+                      repel_gain: float, influence_radius: float):
+    """``attract_gain`` or ``repel_gain``, the first at which the
+    gradient's length where it is largest overflows as norm() squares it,
+    or None. Largest is the attraction at the box corner farthest from the
+    goal plus every obstacle's repulsion at the surface floor."""
+    pull = abs(attract_gain) * _reach(fld.goal)
+    push = 0.0
+    if influence_radius > _SURFACE_FLOOR:
+        push = (len(fld.radii) * abs(repel_gain) / _SURFACE_FLOOR ** 2
+                * (1.0 / _SURFACE_FLOOR - 1.0 / influence_radius))
+    for name, length in (("attract_gain", pull), ("repel_gain", pull + push)):
+        if not math.isfinite(length * length):
+            return name
+    return None
 
 
 def apf_plan(start, fld: ObstacleField, attract_gain: float = 1.0,
@@ -520,6 +567,10 @@ def apf_plan(start, fld: ObstacleField, attract_gain: float = 1.0,
         raise ValueError("step must be > 0")
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
+    overflow = gradient_overflow(fld, attract_gain, repel_gain,
+                                 influence_radius)
+    if overflow:
+        raise ValueError(f"{overflow}: the gradient overflows")
     point = np.asarray(start, dtype=float).copy()
     fld.check_start(point)
     trajectory = [point.copy()]

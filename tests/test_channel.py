@@ -1,5 +1,6 @@
 """Channel tests: Friis/two-ray against hand-computed values, exhaustive
 QPSK mapping, and Monte Carlo BER against the analytic curve."""
+import decimal
 import math
 
 import numpy as np
@@ -91,6 +92,42 @@ def test_two_ray_hand_value():
     fld = 1.0 / d_los - complex(math.cos(phi), math.sin(phi)) / d_ref
     expected = (1.0 / (4.0 * math.pi)) ** 2 * abs(fld) ** 2
     assert two_ray_received_power(link) == pytest.approx(expected, rel=1e-12)
+
+
+_PI = decimal.Decimal("3.14159265358979323846264338327950288419716939937510")
+
+
+def _two_ray_oracle(link: LinkParams, d: float) -> float:
+    """Two-ray power with the phase difference taken at 50 digits:
+    Pt (lambda/4pi)^2 (a^2 + R^2 b^2 + 2 R a b cos(phi)), a = 1/d_los,
+    b = 1/d_ref, unit gains."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        d, ht, hr, lam, r = map(decimal.Decimal, (
+            d, link.tx_height, link.rx_height, link.wavelength,
+            link.ground_reflection))
+        d_los = (d * d + (ht - hr) ** 2).sqrt()
+        d_ref = (d * d + (ht + hr) ** 2).sqrt()
+        x = 2 * _PI * (d_ref - d_los) / lam % (2 * _PI)
+        cos = term = decimal.Decimal(1)
+        for k in range(2, 200, 2):   # Taylor series; x < 2 pi
+            term *= -x * x / (k * (k - 1))
+            cos += term
+        a, b = 1 / d_los, 1 / d_ref
+        return float(decimal.Decimal(link.tx_power) * (lam / (4 * _PI)) ** 2
+                     * (a * a + r * r * b * b + 2 * r * a * b * cos))
+
+
+@pytest.mark.parametrize("link", [
+    LINK, LinkParams(tx_power=50.0, wavelength=0.125, distance=2000.0,
+                     tx_height=100.0, rx_height=1.5, ground_reflection=-0.7)])
+def test_two_ray_phase_difference_matches_decimal_oracle(link):
+    # d_ref - d_los taken by subtraction cancels to 0 far out: the power
+    # was then 0 (-inf dB) with R = -1, and 1e-9 off at 2e8 m with R = -0.7
+    d = np.logspace(1, 14, 53)
+    expected = [_two_ray_oracle(link, x) for x in d.tolist()]
+    np.testing.assert_allclose(two_ray_received_power(link, d), expected,
+                               rtol=1e-12)
 
 
 def test_qpsk_mapping_exhaustive():

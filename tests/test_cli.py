@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from swarmlink import cli
 from swarmlink.cli import (EXIT_ERROR, EXIT_INVALID, EXIT_OK, derive_seed,
                            main, parse_config, validate_config)
 
@@ -310,6 +311,15 @@ MALFORMED = [
     ("wind", "wind", {"component": "w", "sample_spacing": 1e-300},
      "wind.sample_spacing"),
     ("wind", "wind.sample_spacing", 0, "wind.sample_spacing"),
+    # each passed validate, then ran with an overflow in norm()
+    ("network", "network.positions.u0", [1e300, 0, 0], "network.positions"),
+    ("network", "network.apf.repel_gain", 1e300, "network.apf.repel_gain"),
+    ("network", "network.apf.attract_gain", 1e300,
+     "network.apf.attract_gain"),
+    ("network", "network.apf.goal", [1e300, 0, 0], "network.apf"),
+    ("network", "network.apf.obstacles", [[[1e300, 0, 0], 1.0]],
+     "network.apf"),
+    ("network", "network", {"link_range": 1e300}, "network.link_range"),
 ]
 
 
@@ -349,6 +359,16 @@ def test_unknown_keys_warn_one_line_each(tmp_path, config_dict, capsys):
                     "sed")]
 
 
+def test_unread_antenna_fields_are_unknown_keys(tmp_path, config_dict,
+                                               capsys):
+    config_dict["budget"]["antenna"] = {"gain_dbi": 3.0, "link_length": 2e3}
+    assert main(["validate", "--config", _write(tmp_path, config_dict)]) == \
+        EXIT_OK
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: config: budget.antenna.{key}: unknown key, ignored"
+        for key in ("gain_dbi", "link_length")]
+
+
 def test_line_breaks_in_keys_stay_on_one_line(tmp_path, config_dict,
                                               capsys):
     config_dict["optimize"]["n\nparticles"] = 40
@@ -369,7 +389,25 @@ def test_every_section_has_valid_defaults():
                                  "budget", "berdist", "network")}}
     scenario, violations, unknown = parse_config(config)
     assert violations == [] and unknown == []
-    assert parse_config({})[0]["berdist"]["data_rate"] == 1e6
+    assert scenario["berdist"]["data_rate"] == 1e6
+
+
+def test_berdist_without_section_runs_reference_link(tmp_path,
+                                                      monkeypatch):
+    # a left-out berdist section is parsed by the berdist subcommand only
+    assert parse_config({})[0]["berdist"] is None
+    run, ran = cli.run_berdist, []
+    monkeypatch.setattr(cli, "run_berdist", lambda scenario, out: ran.append(
+        scenario["berdist"]) or run(scenario, out))
+    outputs = []
+    for name, config in (("none", {}), ("empty", {"berdist": {}})):
+        out = tmp_path / name
+        assert main(["berdist", "--config",
+                     _write(tmp_path, {"seed": 1, **config}),
+                     "--out", str(out)]) == EXIT_OK
+        outputs.append((out / "berdist.csv").read_bytes())
+    assert ran[0]["data_rate"] == 1e6 and ran[0] == ran[1]
+    assert outputs[0] == outputs[1]
 
 
 def test_partial_gains_fill_from_section_default(config_dict):

@@ -8,8 +8,9 @@ import pytest
 from swarmlink.network import (GROUND_STATION_ID, ApfOutcome, NodeRole,
                                ObstacleField, TopologyError, TopologyGraph,
                                TopologyKind, apf_plan, astar, build_topology,
-                               compare_propagation, flood, grid_graph,
-                               route_hops, route_shortest)
+                               compare_propagation, flood,
+                               gradient_overflow, grid_graph, route_hops,
+                               route_shortest)
 
 
 def _random_positions(rng, n, spread=50.0):
@@ -353,6 +354,32 @@ def test_apf_validation():
         apf_plan([1000.0, 0.0, 0.0], fld)  # outside the bounds
     with pytest.raises(ValueError):
         ObstacleField(goal=np.zeros(3), obstacles=((np.zeros(3), 0.0),))
+
+
+def test_apf_fields_that_overflow_are_rejected():
+    fld = ObstacleField(goal=np.array([20.0, 0.0, 0.0]),
+                        obstacles=((np.array([10.0, 2.0, 0.0]), 2.0),))
+    assert gradient_overflow(fld, 1.0, 1e100, 4.0) is None
+    assert gradient_overflow(fld, 1.0, 1e300, 4.0) == "repel_gain"
+    # no point is within an influence radius below the surface floor
+    assert gradient_overflow(fld, 1.0, 1e300, 1e-10) is None
+    assert gradient_overflow(fld, 1e300, 1.0, 4.0) == "attract_gain"
+    with pytest.raises(ValueError, match="goal lies too far"):
+        ObstacleField(goal=np.array([1e300, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="obstacle centre lies too far"):
+        ObstacleField(goal=np.zeros(3),
+                      obstacles=((np.array([0.0, 1e300, 0.0]), 1.0),))
+    with pytest.raises(ValueError, match="repel_gain"):
+        apf_plan([0.0, 0.0, 0.0], fld, repel_gain=1e300)
+
+
+def test_positions_whose_distances_overflow_are_rejected():
+    positions = {GROUND_STATION_ID: [0.0, 0.0, 0.0], "u0": [1e154, 0, 0],
+                 "far": [1e300, 0.0, 0.0]}   # not a node: not measured
+    build_topology(TopologyKind.STAR, 1, 1, 100.0, positions)
+    positions["u0"] = [1e300, 0.0, 0.0]
+    with pytest.raises(ValueError, match="too far apart"):
+        build_topology(TopologyKind.STAR, 1, 1, 100.0, positions)
 
 
 def test_route_and_flood_unknown_nodes():
