@@ -1,6 +1,8 @@
 """Physical-layer models: Friis and two-ray ground-reflection received
 power, QPSK modulation/demodulation, AWGN / Rician / Rayleigh channels,
-and analytic plus Monte Carlo bit-error rates.
+and analytic plus Monte Carlo bit-error rates. Each random draw is seeded
+from ``FadingParams.seed``: the channel of :func:`apply_channel`, and the
+bit source and channel of :func:`ber_monte_carlo`.
 """
 from __future__ import annotations
 
@@ -139,6 +141,7 @@ def qpsk_modulate(bits) -> np.ndarray:
 def qpsk_demodulate(symbols) -> np.ndarray:
     """Minimum-distance (sign) decisions inverse to :func:`qpsk_modulate`."""
     symbols = np.ascontiguousarray(symbols, dtype=complex)
+    # the float view lists each symbol's (I, Q) in bit order
     return (symbols.view(float) < 0).astype(int)
 
 
@@ -235,20 +238,19 @@ def ber_qpsk_theoretical(fading: FadingParams, ebn0_db):
     return 0.5 * np.mean((1.0 + k) * s / den * np.exp(-k * g / den), axis=-1)
 
 
-def ber_monte_carlo(fading: FadingParams, ebn0_db: float, n_bits: int,
-                    seed: int | None = None) -> tuple[float, int]:
-    """Measure BER by transmitting ``n_bits`` random bits.
+def ber_monte_carlo(fading: FadingParams, ebn0_db: float,
+                    n_bits: int) -> tuple[float, int]:
+    """Measure BER by transmitting ``n_bits`` random bits and deciding them
+    with :func:`qpsk_demodulate`.
 
-    Returns ``(ber, n_errors)``. The bit source is seeded from ``seed``
-    (defaults to ``fading.seed``) so repeated runs are identical.
+    Returns ``(ber, n_errors)``. The bit source and the channel are seeded
+    from ``fading.seed``, so repeated runs are identical.
     """
     if n_bits % 2 or n_bits < 2:
         raise ValueError("n_bits must be even and >= 2")
-    if seed is None:
-        seed = fading.seed
     sigma = noise_sigma(ebn0_db)
     # separate, independent streams for the bit source and the channel
-    bit_ss, chan_ss = np.random.SeedSequence(seed).spawn(2)
+    bit_ss, chan_ss = np.random.SeedSequence(fading.seed).spawn(2)
     bit_rng = np.random.default_rng(bit_ss)
     rng = np.random.default_rng(int(chan_ss.generate_state(1)[0]))
     # ziggurat normals take a varying count of raw draws, so no block can
@@ -261,6 +263,5 @@ def ber_monte_carlo(fading: FadingParams, ebn0_db: float, n_bits: int,
         noise = _complex_normal(rng, noise_re[block].shape, noise_re[block])
         bits = bit_rng.integers(0, 2, size=2 * noise.size)
         received = _receive(noise, h[block], qpsk_modulate(bits), sigma)
-        # the float view lists each symbol's (I, Q) in bit order
-        n_errors += int(np.count_nonzero((received.view(float) < 0) != bits))
+        n_errors += int(np.count_nonzero(qpsk_demodulate(received) != bits))
     return n_errors / n_bits, n_errors

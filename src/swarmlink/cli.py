@@ -202,6 +202,28 @@ def _need(section: dict, path: str, *keys: str) -> None:
             raise ConfigError(f"{path}.{key}: required")
 
 
+def _given(section: dict) -> dict:
+    """The fields of ``section`` that the config gives."""
+    return {key: value for key, value in section.items()
+            if value is not _ABSENT}
+
+
+def _as_reference(path: str, given, reference) -> None:
+    """Raise ConfigError naming the first value of ``given`` that differs
+    from the ``reference`` value that ``use_reference`` puts in its place;
+    values left out (_ABSENT or None) are not compared."""
+    if is_dataclass(reference):
+        given, reference = _fields(given), _fields(reference)
+    if not isinstance(reference, dict):
+        if given != reference:
+            raise ConfigError(f"{path}: differs from the reference value "
+                              "that use_reference: true puts in its place")
+        return
+    for key, value in reference.items():
+        if given.get(key) is not None and given[key] is not _ABSENT:
+            _as_reference(_join(path, key), given[key], value)
+
+
 def _finite_at_ends(sweep: dict, path: str, whole: str, curves) -> None:
     """Raise ConfigError unless the arrays ``curves(d)`` are finite at both
     ends of the ``d_min``..``d_max`` sweep; name the failing end, or
@@ -223,8 +245,6 @@ def _finite_at_ends(sweep: dict, path: str, whole: str, curves) -> None:
 # Build steps: the library objects that span several fields.
 def _wind(w: dict) -> dict:
     from . import wind
-    with _at("wind.shear_p"):
-        wind.WindShearCoeff(w["shear_p"])
     spec = w["spec"] = wind.TurbulenceSpec(w["sigma"], w["length"], w["model"])
     spec.params_for(w["component"])
     spacing = w["sample_spacing"]
@@ -269,9 +289,12 @@ def _optimize(o: dict) -> dict:
         key = far if math.isinf(term) else "dim"
         raise ConfigError(f"optimize.{key}: {o['function']} is not finite at "
                           "the farthest corner of the box")
-    o["config"] = replace(default, **{
-        key: o[key] for key in _SWARM_SIZES
-        if key in _fields(default) and o[key] is not _ABSENT})
+    sizes = _given({key: o[key] for key in _SWARM_SIZES})
+    for key in sizes:
+        if key not in _fields(default):
+            raise ConfigError(f"optimize.{key}: not a setting of "
+                              f"{o['algorithm']}")
+    o["config"] = replace(default, **sizes)
     return o
 
 
@@ -302,14 +325,23 @@ def _channel(c: dict) -> dict:
 def _budget(b: dict) -> dict:
     from . import linkbudget
     if b["use_reference"]:
-        return {**b, "antenna": linkbudget.reference_antenna(),
-                "config": linkbudget.reference_budget_config()}
+        antenna = linkbudget.reference_antenna()
+        config = linkbudget.reference_budget_config()
+        _as_reference("budget", b, {
+            "antenna": antenna,
+            **{key: [(item.label, item.value_db)
+                     for item in getattr(config, key)]
+               for key in _BUDGET_ITEMS},
+            **{key: getattr(config, key) for key in (
+                *_BUDGET_FIGURES, "printed_totals", "text_values")}})
+        return {**b, "antenna": antenna, "config": config}
     _need(b, "budget", *_BUDGET_ITEMS, *_BUDGET_FIGURES)
     b["config"] = linkbudget.BudgetConfig(
         **{key: tuple(linkbudget.BudgetLineItem(*item) for item in b[key])
            for key in _BUDGET_ITEMS},
         **{key: b[key] for key in _BUDGET_FIGURES},
-        printed_totals=b["printed_totals"], text_values=b["text_values"])
+        printed_totals=b["printed_totals"] or {},
+        text_values=b["text_values"] or {})
     return b
 
 
@@ -346,8 +378,10 @@ def _apf(a: dict) -> dict:
 def _berdist(b: dict) -> dict:
     from . import linkbudget
     if b["use_reference"]:
-        b.update(zip(("link", "data_rate", "noise_power_dbm"),
-                     linkbudget.reference_ber_distance_link()))
+        reference = dict(zip(("link", "data_rate", "noise_power_dbm"),
+                             linkbudget.reference_ber_distance_link()))
+        _as_reference("berdist", b, reference)
+        b.update(reference)
     _need(b, "berdist", "data_rate", "noise_power_dbm")
     with _at("berdist.noise_power_dbm"):
         linkbudget.dbm_to_watts(b["noise_power_dbm"])
@@ -404,7 +438,7 @@ DEFAULTS = {
         "sigma": (1.0, 1.0, 1.0), "length": (200.0, 200.0, 50.0),
         "model": swarmlink.wind.TurbulenceModel.DRYDEN, "component": "u",
         "omega_log_min": -4.0, "omega_log_max": 1.0, "n_omega": 200,
-        "sample_spacing": 1.0, "n_samples": 4096, "shear_p": 0.0}, _wind),
+        "sample_spacing": 1.0, "n_samples": 4096}, _wind),
     "optimize": _section(lambda: {
         "algorithm": "pso", "function": "sphere", "dim": 10, "lower": -5.0,
         "upper": 5.0, **dict.fromkeys(_SWARM_SIZES, int)}, _optimize),
@@ -421,14 +455,18 @@ DEFAULTS = {
         "ebn0_db": _many(0.0, [0, 2, 4, 6, 8]), "n_bits": 100000,
         "constellation_ebn0_db": 10.0, "sweep": {
             "d_min": 10.0, "d_max": 100000.0, "n": 500}}, _channel),
-    # without use_reference, the ledger is required
+    # without use_reference, the ledger is required; with it, a given value
+    # must equal the reference value that replaces it
     "budget": _section(lambda: {
         "use_reference": True,
         "antenna": swarmlink.linkbudget.reference_antenna(),
         **dict.fromkeys(_BUDGET_ITEMS, _many((str, float))),
         **dict.fromkeys(_BUDGET_FIGURES, float),
-        "printed_totals": _many(0.0, {}, keyed=True),
-        "text_values": _many(0.0, {}, keyed=True)}, _budget),
+        # only the keys that compute_budget reads
+        "printed_totals": _section(lambda: dict.fromkeys(
+            swarmlink.linkbudget.PRINTED_TOTALS, float), _given),
+        "text_values": _section(lambda: dict.fromkeys(
+            swarmlink.linkbudget.TEXT_VALUES, float), _given)}, _budget),
     # left out, it is parsed from {} by the berdist subcommand alone
     "berdist": _section(lambda: {
         "use_reference": True, "link": _link(), "data_rate": float,
@@ -455,6 +493,11 @@ def parse_config(config: dict) -> tuple[dict, list[str], list[str]]:
     steps = scenario.get("duration", 0) / scenario.get("dt", math.inf)
     if not steps <= _MAX_STEPS:
         violations.append(f"duration: duration / dt is over {_MAX_STEPS}")
+    if (scenario.get("dynamics") or scenario.get("formation")) and not \
+            scenario.get("dt", 0) < swarmlink.formation.MAX_DT:
+        violations.append(f"dt: must be < {swarmlink.formation.MAX_DT:.6g} "
+                          "for dynamics and formation, where the attitude "
+                          "loop diverges at larger steps")
     stochastic = [s for s in ("wind", "optimize", "channel") if s in config]
     if stochastic and "seed" not in config:
         violations.append(f"seed: integer required by sections {stochastic}")
@@ -588,10 +631,9 @@ def _budget_report_text(budget) -> str:
 def run_budget(scenario: dict, out: Path) -> list[Path]:
     from . import linkbudget
     section = scenario["budget"]
-    antenna, mode = section["antenna"], linkbudget.BudgetMode.CORRECTED_SUM
-    if scenario["mode"] == "paper":
-        mode = linkbudget.BudgetMode.PAPER_LITERAL
-    budget = linkbudget.compute_budget(antenna, section["config"], mode)
+    antenna = section["antenna"]
+    budget = linkbudget.compute_budget(antenna, section["config"],
+                                       linkbudget.BudgetMode(scenario["mode"]))
     report_path = out / "budget_report.txt"
     report_path.write_text(_budget_report_text(budget))
     rho = linkbudget.vswr_to_reflection(antenna.vswr)
@@ -615,12 +657,9 @@ def run_berdist(scenario: dict, out: Path) -> list[Path]:
     section = scenario["berdist"]
     d = np.logspace(math.log10(section["d_min"]),
                     math.log10(section["d_max"]), section["n"])
-    formula = (linkbudget.BerFormula.PAPER_LITERAL
-               if scenario["mode"] == "paper"
-               else linkbudget.BerFormula.STANDARD)
     curve = linkbudget.ber_vs_distance(
         section["link"], section["data_rate"], section["noise_power_dbm"], d,
-        formula=formula)
+        linkbudget.BudgetMode(scenario["mode"]))
     columns = ["distance_m", "pr_dbm", "ebn0_db", "ber"]
     return [_write_csv(out / "berdist.csv", columns,
                        *(curve[c] for c in columns))]

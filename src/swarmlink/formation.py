@@ -30,6 +30,7 @@ from .dynamics import (ControlInput, PidGains, UavParams, UavState,
                        normalize_angle)
 
 __all__ = [
+    "MAX_DT",
     "FormationMode",
     "Pose",
     "FormationSpec",
@@ -218,6 +219,12 @@ def formation_targets(leader_poses: dict[str, Pose],
 _ATT_KP = 400.0
 _ATT_KD = 40.0
 _MAX_TILT = 0.4
+# Under step_states' semi-implicit Euler, an angle error e with rate r steps
+# as r' = r - dt*(KP*e + KD*r), e' = e + dt*r'. The step matrix has trace
+# 2 - KD*dt - KP*dt**2 and determinant 1 - KD*dt, so by the Jury criterion
+# the loop decays only while KD*dt < 2 and KP*dt**2 < 4 - 2*KD*dt: for dt
+# below the positive root of KP*dt**2 + 2*KD*dt - 4, about 0.0414 s.
+MAX_DT = (math.sqrt(_ATT_KD ** 2 + 4.0 * _ATT_KP) - _ATT_KD) / _ATT_KP
 _ATAN2 = np.frompyfunc(math.atan2, 2, 1)
 
 

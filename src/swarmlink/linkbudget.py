@@ -6,7 +6,10 @@ differs between text and table, two different receiver thresholds, and a
 noise figure computed with a 20*log10 convention). ``PAPER_LITERAL`` mode
 reproduces the printed downstream numbers by taking the printed totals as
 overrides; ``CORRECTED_SUM`` mode recomputes every total from its items.
-Both modes attach a discrepancy report naming each conflict.
+Both modes attach a discrepancy report naming each conflict. The same
+:class:`BudgetMode` picks the BER formula of :func:`ber_vs_distance`: the
+printed one in ``PAPER_LITERAL`` mode, the standard one in
+``CORRECTED_SUM`` mode.
 """
 from __future__ import annotations
 
@@ -21,7 +24,8 @@ from .channel import LinkParams, erfc, friis_received_power, watts_to_dbm
 __all__ = [
     "SPEED_OF_LIGHT",
     "BudgetMode",
-    "BerFormula",
+    "PRINTED_TOTALS",
+    "TEXT_VALUES",
     "BudgetLineItem",
     "Discrepancy",
     "LinkBudget",
@@ -49,11 +53,6 @@ SPEED_OF_LIGHT = 3.0e8
 class BudgetMode(enum.Enum):
     PAPER_LITERAL = "paper"
     CORRECTED_SUM = "corrected"
-
-
-class BerFormula(enum.Enum):
-    STANDARD = "standard"
-    PAPER_LITERAL = "paper"
 
 
 @dataclass(frozen=True)
@@ -85,22 +84,23 @@ class Discrepancy:
 class AntennaSpec:
     """Antenna and receiver-chain figures feeding the budget."""
 
-    freq_low: float          # Hz
-    freq_high: float         # Hz
     vswr: float
     input_power: float       # W delivered to the antenna
     input_impedance: float   # ohm
-    rx_threshold_dbm: float
     operational_temp: float  # K
     standard_temp: float = 298.0
 
     def __post_init__(self):
         if self.vswr < 1:
             raise ValueError("vswr must be >= 1")
-        if self.freq_low >= self.freq_high:
-            raise ValueError("freq_low must be < freq_high")
         if self.input_impedance <= 0:
             raise ValueError("input_impedance must be > 0")
+
+
+# The keys of BudgetConfig.printed_totals and .text_values that
+# compute_budget checks; it reads no others.
+PRINTED_TOTALS = ("eirp_db", "total_path_loss_db", "total_rx_gain_db")
+TEXT_VALUES = ("path_loss_db", "rx_threshold_dbm", "rsl_db")
 
 
 @dataclass(frozen=True)
@@ -218,9 +218,7 @@ def compute_budget(antenna: AntennaSpec, config: BudgetConfig,
 
     discrepancies = []
     printed = config.printed_totals
-    for label, computed in (("eirp_db", eirp),
-                            ("total_path_loss_db", loss_sum),
-                            ("total_rx_gain_db", rx_sum)):
+    for label, computed in zip(PRINTED_TOTALS, (eirp, loss_sum, rx_sum)):
         if label in printed and abs(printed[label] - computed) > 1e-9:
             discrepancies.append(
                 Discrepancy(label, printed[label], computed))
@@ -242,20 +240,11 @@ def compute_budget(antenna: AntennaSpec, config: BudgetConfig,
     noise_dbm = noise_power_dbm(config.noise_bandwidth_hz, nf_db)
 
     text = config.text_values
-    if "path_loss_db" in text:
-        item_loss = config.loss_items[0].value_db
-        if abs(text["path_loss_db"] - item_loss) > 1e-9:
-            discrepancies.append(
-                Discrepancy("path_loss_db", text["path_loss_db"], item_loss))
-    if "rx_threshold_dbm" in text:
-        if abs(text["rx_threshold_dbm"] - threshold) > 1e-9:
-            discrepancies.append(
-                Discrepancy("rx_threshold_db", text["rx_threshold_dbm"],
-                            threshold))
-    if "rsl_db" in text:
-        if abs(text["rsl_db"] - rsl) > 1e-9:
-            discrepancies.append(
-                Discrepancy("rsl_db", text["rsl_db"], rsl))
+    for key, label, computed in zip(
+            TEXT_VALUES, ("path_loss_db", "rx_threshold_db", "rsl_db"),
+            (config.loss_items[0].value_db, threshold, rsl)):
+        if key in text and abs(text[key] - computed) > 1e-9:
+            discrepancies.append(Discrepancy(label, text[key], computed))
     _, nf_paper = noise_figure(antenna.operational_temp,
                                antenna.standard_temp, paper_convention=True)
     if abs(config.noise_figure_db - nf_paper) > 5e-3:
@@ -292,12 +281,13 @@ def dbm_to_watts(p_dbm: float) -> float:
 
 def ber_vs_distance(link: LinkParams, data_rate: float,
                     noise_power_dbm_val: float, distances,
-                    formula: BerFormula = BerFormula.STANDARD):
+                    mode: BudgetMode = BudgetMode.CORRECTED_SUM):
     """BER over a distance sweep from Friis received power.
 
     Energy per bit is received power divided by the data rate; Eb/N0 uses
-    the configured noise power. STANDARD applies 0.5*erfc(sqrt(Eb/N0));
-    PAPER_LITERAL applies the printed 0.5*sqrt(erfc(Eb/N0)) form.
+    the configured noise power. CORRECTED_SUM applies the standard
+    0.5*erfc(sqrt(Eb/N0)); PAPER_LITERAL applies the printed
+    0.5*sqrt(erfc(Eb/N0)) form.
 
     Returns a dict of aligned arrays: distance_m, pr_dbm, ebn0_db, ber.
     """
@@ -309,7 +299,7 @@ def ber_vs_distance(link: LinkParams, data_rate: float,
     pr = friis_received_power(link, distances)
     n0 = dbm_to_watts(noise_power_dbm_val)
     ebn0 = (pr / data_rate) / n0
-    if formula is BerFormula.STANDARD:
+    if mode is BudgetMode.CORRECTED_SUM:
         ber = 0.5 * erfc(np.sqrt(ebn0))
     else:
         ber = 0.5 * np.sqrt(erfc(ebn0))
@@ -324,12 +314,9 @@ def ber_vs_distance(link: LinkParams, data_rate: float,
 def reference_antenna() -> AntennaSpec:
     """The 2.2-2.4 GHz antenna the reference budget is built around."""
     return AntennaSpec(
-        freq_low=2.2e9,
-        freq_high=2.4e9,
         vswr=1.5,
         input_power=50.0,
         input_impedance=50.0,
-        rx_threshold_dbm=-85.0,
         operational_temp=358.0,
     )
 

@@ -16,8 +16,8 @@ import numpy as np
 # step_state, movement_step and formation_targets are unused here, but
 # bench/inproc.py wraps them in this namespace by name
 from .dynamics import PidGains, UavParams, UavState, step_state, step_states
-from .formation import (Pose, RoleGraph, formation_targets, movement_step,
-                        movement_steps)
+from .formation import (MAX_DT, Pose, RoleGraph, formation_targets,
+                        movement_step, movement_steps)
 
 __all__ = [
     "simulate_position_hold",
@@ -34,6 +34,9 @@ def _fly(states, targets, gains: PidGains, params: UavParams, dt: float,
     positions (N, n, 3))``."""
     if dt <= 0:
         raise ValueError("dt must be > 0")
+    if dt >= MAX_DT:
+        raise ValueError(f"dt must be < {MAX_DT:.6g}: the attitude loop "
+                         "diverges at larger steps")
     times = np.arange(int(round(duration / dt)) + 1) * dt
     state = tuple(np.array([getattr(s, name) for s in states]).reshape(-1, 3)
                   for name in ("position", "velocity", "euler", "euler_rates"))

@@ -7,6 +7,7 @@ plain ``pytest -v`` run shows the per-criterion verdicts.
 import itertools
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -138,8 +139,8 @@ def test_criterion_06_qpsk_awgn_monte_carlo(capsys):
         n_bits = 1_000_000
         for ebn0 in (0, 2, 4, 6, 8):
             fading = channel.FadingParams(kind=channel.FadingKind.AWGN)
-            ber, _ = channel.ber_monte_carlo(fading, float(ebn0), n_bits,
-                                             seed=100 + ebn0)
+            ber, _ = channel.ber_monte_carlo(replace(fading, seed=100 + ebn0),
+                                             float(ebn0), n_bits)
             p = float(channel.ber_qpsk_awgn_theoretical(float(ebn0)))
             sigma = math.sqrt(p * (1.0 - p) / n_bits)
             assert abs(ber - p) <= 3.0 * sigma, (ebn0, ber, p)
@@ -157,7 +158,8 @@ def test_criterion_07_fading_ordering(capsys):
                                            rician_k=10.0),
             "awgn": channel.FadingParams(kind=channel.FadingKind.AWGN),
         }
-        results = {name: channel.ber_monte_carlo(f, 8.0, n_bits, seed=200)
+        results = {name: channel.ber_monte_carlo(replace(f, seed=200), 8.0,
+                                                 n_bits)
                    for name, f in kinds.items()}
         bers = {name: r[0] for name, r in results.items()}
 

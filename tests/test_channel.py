@@ -2,6 +2,7 @@
 QPSK mapping, and Monte Carlo BER against the analytic curve."""
 import decimal
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -187,7 +188,8 @@ def test_monte_carlo_matches_theory():
     n_bits = 200000
     for ebn0 in (0.0, 4.0, 8.0):
         fading = FadingParams(kind=FadingKind.AWGN)
-        ber, errors = ber_monte_carlo(fading, ebn0, n_bits, seed=50 + int(ebn0))
+        ber, errors = ber_monte_carlo(replace(fading, seed=50 + int(ebn0)),
+                                      ebn0, n_bits)
         p = float(ber_qpsk_awgn_theoretical(ebn0))
         sigma = math.sqrt(p * (1.0 - p) / n_bits)
         assert abs(ber - p) <= 4.0 * sigma
@@ -199,8 +201,8 @@ def test_rayleigh_ber_near_closed_form():
     g = 10.0 ** (ebn0_db / 10.0)
     p = 0.5 * (1.0 - math.sqrt(g / (1.0 + g)))
     n_bits = 400000
-    ber, _ = ber_monte_carlo(FadingParams(kind=FadingKind.RAYLEIGH),
-                             ebn0_db, n_bits, seed=4)
+    fading = FadingParams(kind=FadingKind.RAYLEIGH)
+    ber, _ = ber_monte_carlo(replace(fading, seed=4), ebn0_db, n_bits)
     sigma = math.sqrt(p * (1.0 - p) / n_bits)
     assert abs(ber - p) <= 4.0 * sigma
 
@@ -212,7 +214,7 @@ def test_fading_ordering():
         "rician": FadingParams(kind=FadingKind.RICIAN, rician_k=10.0),
         "awgn": FadingParams(kind=FadingKind.AWGN),
     }
-    bers = {name: ber_monte_carlo(f, 8.0, n_bits, seed=21)[0]
+    bers = {name: ber_monte_carlo(replace(f, seed=21), 8.0, n_bits)[0]
             for name, f in kinds.items()}
     assert bers["rayleigh"] > bers["rician"] > bers["awgn"]
 

@@ -41,12 +41,12 @@ def test_validate_ok(config_dict):
 
 
 def test_validate_reports_violations(config_dict):
-    config_dict["wind"]["shear_p"] = 1.5
+    config_dict["wind"]["n_samples"] = 1000
     config_dict["dt"] = -1.0
     config_dict["optimize"]["algorithm"] = "annealing"
     violations = validate_config(config_dict)
     assert len(violations) == 3
-    assert any("shear_p" in v for v in violations)
+    assert any("n_samples" in v for v in violations)
     assert any(v.startswith("dt") for v in violations)
 
 
@@ -54,7 +54,7 @@ def test_validate_subcommand_exit_codes(tmp_path, config_dict, capsys):
     path = _write(tmp_path, config_dict)
     assert main(["validate", "--config", path]) == EXIT_OK
     assert "valid" in capsys.readouterr().out
-    config_dict["wind"]["shear_p"] = 2.0
+    config_dict["wind"]["n_samples"] = 1000
     bad = _write(tmp_path, config_dict)
     assert main(["validate", "--config", bad]) == EXIT_INVALID
 
@@ -251,7 +251,6 @@ MALFORMED = [
     ("budget", "budget", {"use_reference": False}, "budget.tx_items"),
     ("berdist", "berdist", {"use_reference": False}, "berdist.data_rate"),
     ("wind", "seed", True, "seed"),
-    ("wind", "wind.shear_p", 1.5, "wind.shear_p"),
     ("dynamics", "dt", -1.0, "dt"),
     ("optimize", "optimize.algorithm", "annealing", "optimize.algorithm"),
     ("network", "network.kind", "mesh", "network.kind"),
@@ -320,6 +319,21 @@ MALFORMED = [
     ("network", "network.apf.obstacles", [[[1e300, 0, 0], 1.0]],
      "network.apf"),
     ("network", "network", {"link_range": 1e300}, "network.link_range"),
+    # the attitude loop diverges at these steps
+    ("dynamics", "dt", 0.05, "dt"),
+    ("formation", "dt", 0.05, "dt"),
+    # each was accepted and then ignored
+    ("optimize", "optimize", {"algorithm": "gwo", "n_particles": 5},
+     "optimize.n_particles"),
+    ("optimize", "optimize", {"algorithm": "pso", "n_wolves": 5},
+     "optimize.n_wolves"),
+    ("budget", "budget.antenna", {"vswr": 3.0}, "budget.antenna.vswr"),
+    ("budget", "budget.printed_totals", {"eirp_db": 1.0},
+     "budget.printed_totals.eirp_db"),
+    ("budget", "budget.tx_items", [["Tx Gain", 2.0]], "budget.tx_items"),
+    ("berdist", "berdist", {"data_rate": 5.0, "noise_power_dbm": -50.0},
+     "berdist.data_rate"),
+    ("berdist", "berdist.link", {"tx_power": 5.0}, "berdist.link.tx_power"),
 ]
 
 
@@ -348,15 +362,23 @@ def test_unknown_keys_warn_one_line_each(tmp_path, config_dict, capsys):
     config_dict["optimize"]["n_particle"] = 40
     config_dict["formation"]["edges"][0][2]["ofset"] = [1, 2, 3]
     config_dict["sed"] = 3
-    # a UavParams field that nothing read, deleted from the class
+    # fields that nothing read, deleted from the schema and the classes
     config_dict["dynamics"].setdefault("params", {})["rotor_disc_area"] = 0.05
+    config_dict["wind"]["shear_p"] = 0.4
+    config_dict["budget"]["antenna"] = {
+        "freq_low": 2.2e9, "freq_high": 2.4e9, "rx_threshold_dbm": -85.0}
+    # a key that compute_budget does not read
+    config_dict["budget"]["printed_totals"] = {"eirp": 1.0}
     path = _write(tmp_path, config_dict)
     assert main(["validate", "--config", path]) == EXIT_OK
     assert sorted(capsys.readouterr().err.splitlines()) == [
         f"warning: config: {key}: unknown key, ignored"
-        for key in ("dynamics.params.rotor_disc_area",
+        for key in ("budget.antenna.freq_high", "budget.antenna.freq_low",
+                    "budget.antenna.rx_threshold_dbm",
+                    "budget.printed_totals.eirp",
+                    "dynamics.params.rotor_disc_area",
                     "formation.edges[0][2].ofset", "optimize.n_particle",
-                    "sed")]
+                    "sed", "wind.shear_p")]
 
 
 def test_unread_antenna_fields_are_unknown_keys(tmp_path, config_dict,

@@ -1,7 +1,9 @@
 """Batched flight loop tests: the struct-of-arrays formation and
 position-hold loops against the per-UAV loops they replaced, row
-independence of the batched kernels, and a structural guard that neither
-loop's per-tick cost has per-UAV or per-tick graph work in it."""
+independence of the batched kernels, one kernel tick against a scalar
+oracle written from the model, the step size bound of the attitude loop,
+and a structural guard that neither loop's per-tick cost has per-UAV or
+per-tick graph work in it."""
 import math
 
 import numpy as np
@@ -11,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from swarmlink import simulate
 from swarmlink.dynamics import (ControlInput, PidGains, UavParams, UavState,
                                 normalize_angle, step_state, step_states)
-from swarmlink.formation import (FormationMode, FormationSpec, Pose,
+from swarmlink.formation import (MAX_DT, FormationMode, FormationSpec, Pose,
                                  RoleGraph, df_target, fgd_target,
                                  formation_targets, movement_step,
                                  movement_steps)
@@ -250,6 +252,96 @@ def test_movement_steps_rows_equal_movement_step(rows):
             heading=rows["target_headings"][i]), GAINS, PARAMS, DT)
         assert thrust[i] == one.total_thrust
         assert np.array_equal(moments[i], one.moments)
+
+
+# The movement layer's fixed attitude PD gains and tilt limit.
+ATT_KP, ATT_KD, MAX_TILT = 400.0, 40.0, 0.4
+
+
+def wrap(angle):
+    """``angle`` wrapped into (-pi, pi]."""
+    return -((math.pi - angle) % (2.0 * math.pi) - math.pi)
+
+
+def oracle_tick(position, velocity, euler, rates, target, heading, gains,
+                params, dt):
+    """One tick of one UAV from the model, in scalar ``math``: the PD
+    position law with the tilt clip, the attitude PD, the thrust along the
+    body z axis under the ZYX rotation minus gravity, and one
+    semi-implicit Euler step. Returns (position, velocity, euler, rates)
+    as lists."""
+    m, g = params.mass, params.gravity
+    psi, theta, phi = euler
+    a = [gains.kp * (t - p) - gains.kd * v
+         for t, p, v in zip(target, position, velocity)]
+    az = a[2] + g
+    thrust = m * max(az, 0.0) / max(math.cos(theta) * math.cos(phi), 0.5)
+    # the horizontal demand in the heading frame gives pitch and roll
+    forward = math.cos(psi) * a[0] + math.sin(psi) * a[1]
+    left = math.sin(psi) * a[0] - math.cos(psi) * a[1]
+    theta_des, phi_des = (
+        min(max(math.atan2(x, max(az, 1e-6)), -MAX_TILT), MAX_TILT)
+        for x in (forward, left))
+    moments = [ATT_KP * wrap(want - have) - ATT_KD * rate
+               for want, have, rate in zip((heading, theta_des, phi_des),
+                                           euler, rates)]
+    cps, sps = math.cos(psi), math.sin(psi)
+    cth, sth = math.cos(theta), math.sin(theta)
+    cph, sph = math.cos(phi), math.sin(phi)
+    body_z = (cps * sth * cph + sps * sph, sps * sth * cph - cps * sph,
+              cth * cph)
+    accel = [thrust / m * z for z in body_z]
+    accel[2] -= g
+    velocity = [v + dv * dt for v, dv in zip(velocity, accel)]
+    rates = [r + dr * dt for r, dr in zip(rates, moments)]
+    position = [p + v * dt for p, v in zip(position, velocity)]
+    euler = [wrap(e + r * dt) for e, r in zip(euler, rates)]
+    return position, velocity, euler, rates
+
+
+@settings(max_examples=200, deadline=None)
+@given(body_rows(), st.floats(0.5, 40.0), st.floats(0.5, 20.0),
+       st.floats(0.2, 5.0), st.floats(1e-4, 0.04))
+def test_kernel_tick_matches_scalar_oracle(rows, kp, kd, mass, dt):
+    gains = PidGains(kp=kp, kd=kd)
+    params = UavParams(mass=mass, thrust_coeff=1e-5)
+    state = [rows[name] for name in ("position", "velocity", "euler",
+                                     "euler_rates")]
+    thrust, moments = movement_steps(*state, rows["target_positions"],
+                                     rows["target_headings"], gains, params,
+                                     dt)
+    ticked = step_states(*state, thrust, moments, params, dt)
+    for i in range(len(thrust)):
+        want = oracle_tick(*(x[i].tolist() for x in state),
+                           rows["target_positions"][i].tolist(),
+                           float(rows["target_headings"][i]), gains, params,
+                           dt)
+        for k, name in enumerate(("position", "velocity", "euler",
+                                  "rates")):
+            for got, expected in zip(ticked[k][i].tolist(), want[k]):
+                gap = got - expected
+                if name == "euler":
+                    gap = wrap(gap)
+                assert abs(gap) <= 1e-12 * max(1.0, abs(expected)), name
+
+
+def test_hold_converges_below_max_dt_and_is_rejected_at_it():
+    """Under semi-implicit Euler the attitude PD loop is stable only below
+    MAX_DT (about 0.0414 s); at dt = 0.045 a 1 m hold ended 4e11 m off."""
+    assert 0.041 < MAX_DT < 0.042
+    target = Pose(position=(1.0, 0.0, 0.0))
+    _, positions = simulate.simulate_position_hold(
+        UavState.at_rest(), target, GAINS, PARAMS, 0.041, 20.0)
+    assert np.linalg.norm(positions[-1] - target.position) < 1e-12
+    roles = RoleGraph(root_id="L")
+    leader = turning_leader((0.0, 0.0, 10.0), (0.5, 0.0, 0.0), 0.0, 0.1)
+    for dt in (MAX_DT, 0.05):
+        with pytest.raises(ValueError, match="dt"):
+            simulate.simulate_position_hold(UavState.at_rest(), target,
+                                            GAINS, PARAMS, dt, 1.0)
+        with pytest.raises(ValueError, match="dt"):
+            simulate.simulate_formation(leader, roles, {}, GAINS, PARAMS, dt,
+                                        1.0)
 
 
 def test_formation_loop_has_no_per_uav_or_per_tick_graph_work(monkeypatch):

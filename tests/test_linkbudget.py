@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from swarmlink.channel import LinkParams
-from swarmlink.linkbudget import (BerFormula, BudgetMode, Discrepancy,
+from swarmlink.linkbudget import (BudgetMode, Discrepancy,
                                   ber_vs_distance, compute_budget,
                                   dbm_to_watts, incident_power, noise_figure,
                                   noise_power_dbm, output_impedance,
@@ -136,9 +136,9 @@ def test_ber_vs_distance_standard():
 def test_ber_vs_distance_paper_formula():
     link, rate, noise = reference_ber_distance_link()
     d = np.array([1000.0, 5000.0])
-    std = ber_vs_distance(link, rate, noise, d, BerFormula.STANDARD)["ber"]
-    lit = ber_vs_distance(link, rate, noise, d, BerFormula.PAPER_LITERAL)["ber"]
-    assert not np.allclose(std, lit)
+    std = ber_vs_distance(link, rate, noise, d, BudgetMode.CORRECTED_SUM)
+    lit = ber_vs_distance(link, rate, noise, d, BudgetMode.PAPER_LITERAL)
+    assert not np.allclose(std["ber"], lit["ber"])
     with pytest.raises(ValueError):
         ber_vs_distance(link, 0.0, noise, d)
     with pytest.raises(ValueError):

@@ -202,13 +202,11 @@ def reference_apply_channel(symbols, fading, ebn0_db):
     return (h * symbols + noise) / h
 
 
-def reference_ber_monte_carlo(fading, ebn0_db, n_bits, seed=None):
+def reference_ber_monte_carlo(fading, ebn0_db, n_bits):
     """The whole-array Monte Carlo: every bit in one draw, the arithmetic
     QPSK map, all four channel components through
     :func:`reference_apply_channel`, and int decisions."""
-    if seed is None:
-        seed = fading.seed
-    bit_ss, chan_ss = np.random.SeedSequence(seed).spawn(2)
+    bit_ss, chan_ss = np.random.SeedSequence(fading.seed).spawn(2)
     tx = np.random.default_rng(bit_ss).integers(0, 2, size=n_bits)
     i = 1.0 - 2.0 * tx[0::2]
     q = 1.0 - 2.0 * tx[1::2]
@@ -390,12 +388,12 @@ def test_apply_channel_matches_parent(fading, ebn0_db):
 
 @pytest.mark.parametrize("fading", CHANNELS, ids=lambda f: f.kind.value)
 def test_ber_monte_carlo_matches_parent(fading):
-    points = [(ebn0_db, seed) for ebn0_db in (0.0, 4.0, 10.0)
-              for seed in (None, 99)]
-    results = [channel.ber_monte_carlo(fading, ebn0_db, 100_000, seed)
-               for ebn0_db, seed in points]
-    expect = [reference_ber_monte_carlo(fading, ebn0_db, 100_000, seed)
-              for ebn0_db, seed in points]
+    points = [(ebn0_db, seeded) for ebn0_db in (0.0, 4.0, 10.0)
+              for seeded in (fading, replace(fading, seed=99))]
+    results = [channel.ber_monte_carlo(seeded, ebn0_db, 100_000)
+               for ebn0_db, seeded in points]
+    expect = [reference_ber_monte_carlo(seeded, ebn0_db, 100_000)
+              for ebn0_db, seeded in points]
     assert results == expect
     assert all(isinstance(n, int) for _, n in results)
 
@@ -429,8 +427,9 @@ def test_streamed_monte_carlo_matches_whole_array_at_block_edges(
        ebn0_db=st.floats(-10.0, 15.0), seed=st.integers(0, 2 ** 32 - 1))
 def test_streamed_monte_carlo_matches_whole_array_any_size(half, fading,
                                                           ebn0_db, seed):
-    assert channel.ber_monte_carlo(fading, ebn0_db, 2 * half, seed) == \
-        reference_ber_monte_carlo(fading, ebn0_db, 2 * half, seed)
+    fading = replace(fading, seed=seed)
+    assert channel.ber_monte_carlo(fading, ebn0_db, 2 * half) == \
+        reference_ber_monte_carlo(fading, ebn0_db, 2 * half)
 
 
 @pytest.mark.parametrize("seed", range(8))
