@@ -58,6 +58,30 @@ def _write_json(path: Path, payload) -> Path:
     return path
 
 
+def _write_topology(path: Path, graph) -> Path:
+    """Write ``graph``'s ``edges``, ``kind`` and ``nodes`` in the bytes
+    of :func:`_write_json`, streaming the edges one node at a time."""
+    ids = {n: json.dumps(n) for n in graph.adjacency}
+    tail = json.dumps({"kind": graph.kind.value, "nodes": {
+        n: graph.roles[n].value for n in graph.nodes}}, indent=2,
+        sort_keys=True)
+    sep = "\n"
+    with path.open("w") as fh:
+        fh.write('{\n  "edges": [')
+        for a, later in graph.edges_by_node():
+            if later:
+                # json writes a finite float as its repr; every cost is a
+                # Python float, finite as check_positions bounds distances
+                head = f"    [\n      {ids[a]},\n      "
+                fh.write(sep + ",\n".join([
+                    f"{head}{ids[b]},\n      {cost!r}\n    ]"
+                    for b, cost in later]))
+                sep = ",\n"
+        # tail[2:] drops the tail's own "{\n"
+        fh.write(("],\n" if sep == "\n" else "\n  ],\n") + tail[2:] + "\n")
+    return path
+
+
 def _load_config(path: str, seed: int | None = None):
     """Read a scenario file and :func:`parse_config` it."""
     try:
@@ -678,10 +702,7 @@ def run_network(scenario: dict, out: Path) -> list[Path]:
     graph = network.build_topology(section["kind"], n_uavs,
                                    section["n_groups"], link_range, positions)
     outputs = [
-        _write_json(out / "topology.json", {
-            "kind": graph.kind.value,
-            "nodes": {n: graph.roles[n].value for n in graph.nodes},
-            "edges": graph.edges}),
+        _write_topology(out / "topology.json", graph),
         _write_json(out / "comparison.json", network.compare_propagation(
             graph, section["src"], section["dst"]))]
     a = section["apf"]

@@ -236,7 +236,7 @@ def _atan2(y, x):
 
 def movement_steps(position, velocity, euler, euler_rates,
                    target_positions, target_headings, gains: PidGains,
-                   params: UavParams, dt: float):
+                   params: UavParams):
     """PD goal-seeking commands for N followers toward their targets.
 
     State and target positions are (N, 3) arrays, ``target_headings`` is
@@ -248,8 +248,6 @@ def movement_steps(position, velocity, euler, euler_rates,
     scalar heading. Rows are independent: row i equals
     :func:`movement_step` on row i.
     """
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
     err = target_positions - position
     a_des = gains.kp * err - gains.kd * velocity
     g = params.gravity
@@ -274,11 +272,10 @@ def movement_steps(position, velocity, euler, euler_rates,
 
 
 def movement_step(current: UavState, target: Pose, gains: PidGains,
-                  params: UavParams, dt: float) -> ControlInput:
+                  params: UavParams) -> ControlInput:
     """PD goal-seeking command toward ``target``: :func:`movement_steps`
     on one follower."""
     thrust, moments = movement_steps(
         current.position, current.velocity, current.euler,
-        current.euler_rates, target.position, target.heading, gains, params,
-        dt)
+        current.euler_rates, target.position, target.heading, gains, params)
     return ControlInput(total_thrust=float(thrust), moments=moments)

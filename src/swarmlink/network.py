@@ -8,7 +8,10 @@ break by id, and the relaxations of one expansion commute. Flooding,
 hop counts and the connectivity check share one breadth-first pass,
 whose levels and message counts do not depend on which sender reaches
 a node first. Only outputs are sorted: ``nodes``, ``edges``, the
-delivered list and the orphan list.
+delivered list and the orphan list. ``edges`` is produced per node
+(:meth:`TopologyGraph.edges_by_node`): the nodes in sorted order, each
+with its later neighbours sorted. The network runner streams it into
+``topology.json`` that way and never holds it as one list.
 
 The ad hoc mesh is a fixed-radius range search (Bentley, CACM 1975) over
 the group's positions held as one (n, 3) array: one pass per node takes
@@ -96,10 +99,19 @@ class TopologyGraph:
     def nodes(self) -> list[str]:
         return sorted(self.roles)
 
+    def edges_by_node(self):
+        """Yield ``(a, [(b, cost), ...])`` for each node ``a`` in sorted
+        order, with its neighbours ``b > a`` in sorted order. Each pair is
+        unique, so this is ``sorted`` of every ``(a, b, cost)`` with
+        ``a < b``, one node at a time."""
+        for a in sorted(self.adjacency):
+            near = self.adjacency[a]
+            yield a, [(b, near[b]) for b in sorted(b for b in near if b > a)]
+
     @property
     def edges(self) -> list[tuple[str, str, float]]:
-        return sorted((a, b, cost) for a, near in self.adjacency.items()
-                      for b, cost in near.items() if a < b)
+        return [(a, b, cost) for a, later in self.edges_by_node()
+                for b, cost in later]
 
 
 @dataclass

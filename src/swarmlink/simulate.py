@@ -44,7 +44,7 @@ def _fly(states, targets, gains: PidGains, params: UavParams, dt: float,
     tracks[:, 0] = state[0]
     for k in range(len(times) - 1):
         state = step_states(*state, *movement_steps(
-            *state, *targets(times[k]), gains, params, dt), params, dt)
+            *state, *targets(times[k]), gains, params), params, dt)
         tracks[:, k + 1] = state[0]
     return times, tracks
 

@@ -53,7 +53,7 @@ def oracle_formation(leader_path, roles, initial_states, gains, params, dt,
     for k in range(n_steps):
         targets = oracle_targets(leader_path(times[k]), roles)
         for f in followers:
-            control = movement_step(states[f], targets[f], gains, params, dt)
+            control = movement_step(states[f], targets[f], gains, params)
             states[f] = step_state(states[f], control, params, dt)
             positions[f].append(states[f].position)
     return {f: np.array(p) for f, p in positions.items()}
@@ -67,7 +67,7 @@ def oracle_position_hold(initial, target, gains, params, dt, duration):
     positions = np.empty((n_steps + 1, 3))
     positions[0] = state.position
     for k in range(n_steps):
-        control = movement_step(state, target, gains, params, dt)
+        control = movement_step(state, target, gains, params)
         state = step_state(state, control, params, dt)
         positions[k + 1] = state.position
     return np.arange(n_steps + 1) * dt, positions
@@ -245,11 +245,11 @@ def test_movement_steps_rows_equal_movement_step(rows):
     thrust, moments = movement_steps(
         rows["position"], rows["velocity"], rows["euler"],
         rows["euler_rates"], rows["target_positions"],
-        rows["target_headings"], GAINS, PARAMS, DT)
+        rows["target_headings"], GAINS, PARAMS)
     for i in range(len(thrust)):
         one = movement_step(_state(rows, i), Pose(
             position=rows["target_positions"][i],
-            heading=rows["target_headings"][i]), GAINS, PARAMS, DT)
+            heading=rows["target_headings"][i]), GAINS, PARAMS)
         assert thrust[i] == one.total_thrust
         assert np.array_equal(moments[i], one.moments)
 
@@ -308,8 +308,7 @@ def test_kernel_tick_matches_scalar_oracle(rows, kp, kd, mass, dt):
     state = [rows[name] for name in ("position", "velocity", "euler",
                                      "euler_rates")]
     thrust, moments = movement_steps(*state, rows["target_positions"],
-                                     rows["target_headings"], gains, params,
-                                     dt)
+                                     rows["target_headings"], gains, params)
     ticked = step_states(*state, thrust, moments, params, dt)
     for i in range(len(thrust)):
         want = oracle_tick(*(x[i].tolist() for x in state),

@@ -120,15 +120,16 @@ def test_movement_step_tilt_setpoints():
     # hovering at the target with zero error commands hover thrust
     state = UavState.at_rest(position=(0.0, 0.0, 10.0))
     control = movement_step(state, Pose(position=np.array([0.0, 0.0, 10.0])),
-                            GAINS, PARAMS, 0.01)
+                            GAINS, PARAMS)
     assert control.total_thrust == pytest.approx(PARAMS.mass * PARAMS.gravity)
     np.testing.assert_allclose(control.moments, 0.0, atol=1e-12)
     # a +x error pitches the craft forward (positive pitch moment)
     control = movement_step(state, Pose(position=np.array([1.0, 0.0, 10.0])),
-                            GAINS, PARAMS, 0.01)
+                            GAINS, PARAMS)
     assert control.moments[1] > 0.0
-    with pytest.raises(ValueError):
-        movement_step(state, Pose(position=np.zeros(3)), GAINS, PARAMS, 0.0)
+    with pytest.raises(ValueError, match="dt"):
+        simulate_position_hold(state, Pose(position=np.zeros(3)), GAINS,
+                               PARAMS, dt=0.0, duration=1.0)
 
 
 def test_position_hold_step_response():
@@ -232,7 +233,7 @@ def test_movement_step_rotation_equivariance(pos, vel, yaw, pitch, roll,
                          euler=np.array([yaw + d_yaw, pitch, roll]),
                          euler_rates=np.array([0.1, -0.2, 0.3]))
         target = Pose(position=r(goal), heading=yaw + turn + d_yaw)
-        return movement_step(state, target, GAINS, PARAMS, 0.01)
+        return movement_step(state, target, GAINS, PARAMS)
 
     base = command(np.asarray, 0.0)
     turned = command(rot, alpha)

@@ -1,15 +1,20 @@
-"""The column writer and the JSON writer against the writers they replaced:
-a row writer that formats each cell with ``_fmt``, and ``json.dumps``.
-Both must give the same bytes for every column kind the runners pass."""
+"""The column writer and the JSON writers against the writers they
+replaced: a row writer that formats each cell with ``_fmt``, and
+``json.dumps``. Each must give the same bytes for every column kind the
+runners pass and for every topology kind."""
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from swarmlink import cli
+from swarmlink.network import (GROUND_STATION_ID, TopologyError,
+                               TopologyKind, build_topology, grid_graph)
+from test_network_kernels import swarms
 
 BLOCK = cli._BLOCK_ROWS
 
@@ -30,6 +35,16 @@ def reference_csv(path: Path, header, rows) -> Path:
 def reference_json(path: Path, payload) -> Path:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
+
+
+def reference_topology(path: Path, graph) -> Path:
+    """``topology.json`` as the network runner wrote it through
+    ``_write_json``, from one sorted list of every edge."""
+    return reference_json(path, {
+        "kind": graph.kind.value,
+        "nodes": {n: graph.roles[n].value for n in graph.nodes},
+        "edges": sorted((a, b, cost) for a, near in graph.adjacency.items()
+                        for b, cost in near.items() if a < b)})
 
 
 def written(writer, *args) -> bytes:
@@ -121,3 +136,69 @@ def test_edges_as_tuples_match_lists():
                 "kind": "star"}
     assert written(cli._write_json, payload) == \
         written(reference_json, as_lists)
+
+
+def _at(*xyz):
+    return np.array(xyz, dtype=float)
+
+
+# ids u10..u11 sort before u2; u1 and u2 coincide, and 5.0 is exactly the
+# distance from u0 to u1
+TWELVE = {GROUND_STATION_ID: _at(0, 0, 0), "u0": _at(0, 0, 10),
+          "u1": _at(3, 4, 10), "u2": _at(3, 4, 10),
+          **{f"u{i}": _at(i % 3, i // 3, 12) for i in range(3, 12)}}
+
+
+@settings(max_examples=200, deadline=None)
+@given(swarms())
+@example((TopologyKind.SINGLE_GROUP_AD_HOC, 1, 1, 1.0,
+          {GROUND_STATION_ID: _at(0, 0, 0), "u0": _at(1, 2, 3)}))
+@example((TopologyKind.MULTI_GROUP_AD_HOC, 12, 3, 5.0, TWELVE))
+@example((TopologyKind.MULTI_LAYER_AD_HOC, 12, 3, 5.0, TWELVE))
+@example((TopologyKind.MULTI_STAR, 12, 5, 5.0, TWELVE))
+@example((TopologyKind.STAR, 12, 1, 5.0, TWELVE))
+def test_topology_matches_dumps(swarm):
+    try:
+        graph = build_topology(*swarm)
+    except TopologyError:
+        assume(False)
+    assert written(cli._write_topology, graph) == \
+        written(reference_topology, graph)
+
+
+def test_topology_edge_cases_match_dumps():
+    # one edge, u0-gs; no edges at all; nodes with no later neighbour
+    one = build_topology(TopologyKind.SINGLE_GROUP_AD_HOC, 1, 1, 1.0,
+                         {GROUND_STATION_ID: _at(0, 0, 0), "u0": _at(1, 2, 3)})
+    assert len(one.edges) == 1
+    for graph in (one, grid_graph(1, 1), grid_graph(3, 3, walls={(1, 1)}),
+                  grid_graph(4, 1, walls={(1, 0), (2, 0)})):
+        assert written(cli._write_topology, graph) == \
+            written(reference_topology, graph)
+    # string order, not numeric order
+    graph = build_topology(TopologyKind.MULTI_GROUP_AD_HOC, 12, 3, 5.0,
+                           TWELVE)
+    data = written(cli._write_topology, graph)
+    firsts = [a for a, _, _ in json.loads(data)["edges"]]
+    assert firsts.index("u10") < firsts.index("u2")
+    assert data == written(reference_topology, graph)
+
+
+def test_topology_streams_in_little_memory():
+    """Writing a 300-UAV complete graph (44,851 edges, 2.9 MB) holds no
+    list of every edge and no whole file in memory."""
+    rng = np.random.default_rng(300)
+    positions = {f"u{i}": rng.uniform(0.0, 10.0, 3) for i in range(300)}
+    positions[GROUND_STATION_ID] = np.zeros(3)
+    graph = build_topology(TopologyKind.SINGLE_GROUP_AD_HOC, 300, 1, 100.0,
+                           positions)
+    with tempfile.TemporaryDirectory() as tmp:
+        tracemalloc.start()
+        try:
+            path = cli._write_topology(Path(tmp) / "topology.json", graph)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+    assert size > 2_800_000
+    assert peak < 0.1 * size, (peak, size)
