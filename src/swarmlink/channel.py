@@ -59,6 +59,8 @@ class LinkParams:
             raise ValueError("tx_power and wavelength must be > 0")
         if self.tx_gain <= 0 or self.rx_gain <= 0:
             raise ValueError("antenna gains must be > 0")
+        if self.tx_height <= 0 or self.rx_height <= 0:
+            raise ValueError("antenna heights must be > 0")
         if not -1.0 <= self.ground_reflection <= 0.0:
             raise ValueError("ground_reflection must lie in [-1, 0]")
 
@@ -111,8 +113,6 @@ def two_ray_received_power(link: LinkParams, distance: float | None = None):
     d = np.asarray(d, dtype=float)
     if np.any(d <= 0):
         raise ValueError("distance must be > 0")
-    if link.tx_height <= 0 or link.rx_height <= 0:
-        raise ValueError("antenna heights must be > 0")
     dh = link.tx_height - link.rx_height
     sh = link.tx_height + link.rx_height
     d_los = np.sqrt(d ** 2 + dh ** 2)

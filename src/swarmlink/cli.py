@@ -374,6 +374,11 @@ def _network(n: dict) -> dict:
     with _at("network.n_groups"):
         network.check_groups(n["kind"], n["n_uavs"], n["n_groups"])
     if n["positions"] is not None:
+        # one is_node test per key: no id of the swarm is listed
+        for key in n["positions"]:
+            if not network.is_node(n["n_uavs"], key):
+                raise ConfigError(
+                    f"{_join('network.positions', key)}: unknown node")
         with _at("network.positions"):
             network.check_positions(n["n_uavs"], n["positions"])
     elif not math.isfinite(3.0 * n["link_range"] * n["link_range"]):

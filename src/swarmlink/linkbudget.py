@@ -91,10 +91,15 @@ class AntennaSpec:
     standard_temp: float = 298.0
 
     def __post_init__(self):
-        if self.vswr < 1:
-            raise ValueError("vswr must be >= 1")
+        # vswr_to_reflection raises below 1; run_budget needs |rho| < 1,
+        # and compute_budget's noise_figure these temperatures
+        if vswr_to_reflection(self.vswr) >= 1:
+            raise ValueError("vswr is too large: the reflection coefficient "
+                             "rounds to 1")
         if self.input_impedance <= 0:
             raise ValueError("input_impedance must be > 0")
+        if self.operational_temp < 0 or self.standard_temp <= 0:
+            raise ValueError("temperatures must be non-negative / positive")
 
 
 # The keys of BudgetConfig.printed_totals and .text_values that

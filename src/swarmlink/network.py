@@ -1,17 +1,20 @@
 """Swarm network topologies, routing-vs-flooding propagation, and
 representative path planners (Dijkstra, A*, artificial potential field).
 
-Graphs are plain adjacency maps with Euclidean edge costs. No result
-depends on the order in which a node's neighbours are visited, so no
-search sorts them. A*'s heap orders entries by ``(f, id)``, so ties
-break by id, and the relaxations of one expansion commute. Flooding,
-hop counts and the connectivity check share one breadth-first pass,
-whose levels and message counts do not depend on which sender reaches
-a node first. Only outputs are sorted: ``nodes``, ``edges``, the
-delivered list and the orphan list. ``edges`` is produced per node
-(:meth:`TopologyGraph.edges_by_node`): the nodes in sorted order, each
-with its later neighbours sorted. The network runner streams it into
-``topology.json`` that way and never holds it as one list.
+Graphs are plain adjacency maps with Euclidean edge costs. Every graph,
+the swarm topologies and the A* grid alike, is built by ``_add_node``,
+``_add_edge`` and ``_mesh_in_range``, and holds only its nodes'
+positions. No result depends on the order in which a node's neighbours
+are visited, so no search sorts them. A*'s heap orders entries by
+``(f, id)``, so ties break by id, and the relaxations of one expansion
+commute. Flooding, hop counts and the connectivity check share one
+breadth-first pass, whose levels and message counts do not depend on
+which sender reaches a node first. Only outputs are sorted: ``nodes``,
+``edges``, the delivered list and the orphan list. ``edges`` is
+produced per node (:meth:`TopologyGraph.edges_by_node`): the nodes in
+sorted order, each with its later neighbours sorted. The network runner
+streams it into ``topology.json`` that way and never holds it as one
+list.
 
 The ad hoc mesh is a fixed-radius range search (Bentley, CACM 1975) over
 the group's positions held as one (n, 3) array: one pass per node takes
@@ -133,16 +136,10 @@ def _euclid(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b))
 
 
-def _empty_graph(kind: TopologyKind, positions) -> TopologyGraph:
-    roles = {GROUND_STATION_ID: NodeRole.GROUND_STATION}
-    adjacency = {GROUND_STATION_ID: {}}
-    return TopologyGraph(kind=kind, roles=roles, positions=dict(positions),
-                         adjacency=adjacency)
-
-
-def _add_node(graph: TopologyGraph, node: str, role: NodeRole):
+def _add_node(graph: TopologyGraph, node: str, role: NodeRole, position):
     graph.roles[node] = role
-    graph.adjacency.setdefault(node, {})
+    graph.positions[node] = np.asarray(position, dtype=float)
+    graph.adjacency[node] = {}
 
 
 def _add_edge(graph: TopologyGraph, a: str, b: str):
@@ -152,14 +149,11 @@ def _add_edge(graph: TopologyGraph, a: str, b: str):
 
 
 def _split_groups(uav_ids: list[str], n_groups: int) -> list[list[str]]:
-    # first (n_uavs mod n_groups) groups take one extra member
+    # the first (n_uavs mod n_groups) groups take one extra member
     base, extra = divmod(len(uav_ids), n_groups)
-    groups, start = [], 0
-    for g in range(n_groups):
-        size = base + (1 if g < extra else 0)
-        groups.append(uav_ids[start:start + size])
-        start += size
-    return groups
+    return [uav_ids[g * base + min(g, extra):
+                    (g + 1) * base + min(g + 1, extra)]
+            for g in range(n_groups)]
 
 
 def _mesh_in_range(graph: TopologyGraph, members: list[str],
@@ -244,39 +238,36 @@ def build_topology(kind: TopologyKind, n_uavs: int, n_groups: int,
     """
     check_groups(kind, n_uavs, n_groups)
     check_positions(n_uavs, positions)
-    positions = {k: np.asarray(v, dtype=float) for k, v in positions.items()}
     uav_ids = [f"u{i}" for i in range(n_uavs)]
-    graph = _empty_graph(kind, positions)
+    graph = TopologyGraph(kind=kind, roles={}, positions={}, adjacency={})
+    _add_node(graph, GROUND_STATION_ID, NodeRole.GROUND_STATION,
+              positions[GROUND_STATION_ID])
 
     if kind is TopologyKind.STAR:
         for u in uav_ids:
-            _add_node(graph, u, NodeRole.SLAVE_UAV)
+            _add_node(graph, u, NodeRole.SLAVE_UAV, positions[u])
             _add_edge(graph, u, GROUND_STATION_ID)
         return graph
 
     groups = _split_groups(uav_ids, n_groups)
     masters = [g[0] for g in groups]
-
-    if kind is TopologyKind.MULTI_STAR:
-        for group in groups:
-            master, slaves = group[0], group[1:]
-            _add_node(graph, master, NodeRole.MASTER_UAV)
-            _add_edge(graph, master, GROUND_STATION_ID)
-            for s in slaves:
-                _add_node(graph, s, NodeRole.SLAVE_UAV)
-                _add_edge(graph, s, master)
-        return graph
-
-    # the ad hoc kinds share the per-group meshes (single-group has one)
+    multi_star = kind is TopologyKind.MULTI_STAR
     for group in groups:
         master, slaves = group[0], group[1:]
-        _add_node(graph, master, NodeRole.MASTER_UAV)
+        _add_node(graph, master, NodeRole.MASTER_UAV, positions[master])
+        if multi_star:
+            _add_edge(graph, master, GROUND_STATION_ID)
         for s in slaves:
-            _add_node(graph, s, NodeRole.SLAVE_UAV)
-        _mesh_in_range(graph, group, link_range)
-        # so far the members of a group link only to each other
-        _require_connected(graph.adjacency, group, "ad hoc group")
+            _add_node(graph, s, NodeRole.SLAVE_UAV, positions[s])
+            if multi_star:
+                _add_edge(graph, s, master)
+        if not multi_star:
+            # so far the members of an ad hoc group link only to each other
+            _mesh_in_range(graph, group, link_range)
+            _require_connected(graph.adjacency, group, "ad hoc group")
 
+    if multi_star:
+        return graph
     if kind in (TopologyKind.SINGLE_GROUP_AD_HOC,
                 TopologyKind.MULTI_GROUP_AD_HOC):
         for master in masters:
@@ -430,27 +421,16 @@ def grid_graph(width: int, height: int, walls=()) -> TopologyGraph:
     """4-connected unit grid as a TopologyGraph; ``walls`` is a set of
     blocked (x, y) cells. Node ids are ``x,y`` strings."""
     walls = set(walls)
-    roles = {}
-    positions = {}
-    adjacency = {}
-    for x in range(width):
-        for y in range(height):
-            if (x, y) in walls:
-                continue
-            node = f"{x},{y}"
-            roles[node] = NodeRole.SLAVE_UAV
-            positions[node] = np.array([float(x), float(y), 0.0])
-            adjacency[node] = {}
-    graph = TopologyGraph(kind=TopologyKind.SINGLE_GROUP_AD_HOC, roles=roles,
-                          positions=positions, adjacency=adjacency)
-    for x in range(width):
-        for y in range(height):
-            if (x, y) in walls:
-                continue
-            for dx, dy in ((1, 0), (0, 1)):
-                nx_, ny_ = x + dx, y + dy
-                if nx_ < width and ny_ < height and (nx_, ny_) not in walls:
-                    _add_edge(graph, f"{x},{y}", f"{nx_},{ny_}")
+    cells = [(x, y) for x in range(width) for y in range(height)
+             if (x, y) not in walls]
+    graph = TopologyGraph(kind=TopologyKind.SINGLE_GROUP_AD_HOC, roles={},
+                          positions={}, adjacency={})
+    for x, y in cells:
+        _add_node(graph, f"{x},{y}", NodeRole.SLAVE_UAV, (x, y, 0.0))
+    for x, y in cells:
+        for nx_, ny_ in ((x + 1, y), (x, y + 1)):
+            if nx_ < width and ny_ < height and (nx_, ny_) not in walls:
+                _add_edge(graph, f"{x},{y}", f"{nx_},{ny_}")
     return graph
 
 

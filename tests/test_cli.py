@@ -4,14 +4,18 @@ import contextlib
 import functools
 import io
 import json
+import math
 import operator
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from swarmlink import cli
+from swarmlink import (channel, cli, dynamics, formation, linkbudget,
+                       swarm_opt)
 from swarmlink.cli import (EXIT_ERROR, EXIT_INVALID, EXIT_OK, derive_seed,
                            main, parse_config, validate_config)
 
@@ -140,6 +144,51 @@ def test_network_outputs(tmp_path, config_dict):
     assert header == "step,x,y,z,potential"
 
 
+@pytest.mark.parametrize("mode", ["paper", "corrected"])
+def test_reference_ledger_written_out_matches_use_reference(
+        tmp_path, config_dict, mode):
+    outs = []
+    for k, budget in enumerate(({"use_reference": True}, LEDGER)):
+        config_dict["budget"] = budget
+        path = tmp_path / f"config{k}.json"
+        path.write_text(json.dumps(config_dict))
+        outs.append(tmp_path / str(k))
+        assert main(["budget", "--config", str(path), "--out", str(outs[-1]),
+                     "--mode", mode]) == EXIT_OK
+    for name in ("budget.json", "budget_report.txt"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_seeded_position_draw(tmp_path, config_dict):
+    del config_dict["network"]["positions"]
+    path = _write(tmp_path, config_dict)
+    runs = []
+    for k, seed in enumerate(([], [], ["--seed", "2"])):
+        out = tmp_path / str(k)
+        assert main(["network", "--config", path, "--out", str(out),
+                     *seed]) == EXIT_OK
+        runs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert runs[0] == runs[1]
+    assert runs[0]["topology.json"] != runs[2]["topology.json"]
+    # the draw fills a cube of side link_range centred on the station
+    section = config_dict["network"]
+    bound = section["link_range"] * math.sqrt(3) / 2
+    for run in runs:
+        costs = [cost for a, b, cost in json.loads(run["topology.json"])[
+            "edges"] if "gs" in (a, b)]
+        assert len(costs) == section["n_uavs"]
+        assert all(cost <= bound for cost in costs)
+
+
+def test_out_below_a_file_is_io_error(tmp_path, config_dict, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["budget", "--config", _write(tmp_path, config_dict),
+                 "--out", str(blocker / "out")]) == EXIT_ERROR
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: io: ")
+
+
 def test_wind_rerun_byte_identical(tmp_path, config_dict):
     path = _write(tmp_path, config_dict)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -231,6 +280,23 @@ def test_reference_csv_cells_are_numbers(tmp_path):
                     float(cells[i])  # raises on np.float64(...) and friends
             n_csv += 1
     assert n_csv == 11
+
+
+def _reference_ledger() -> dict:
+    """The reference budget written out as a ``use_reference: false``
+    ledger."""
+    config = linkbudget.reference_budget_config()
+    return {"use_reference": False,
+            "antenna": asdict(linkbudget.reference_antenna()),
+            **{key: [[item.label, item.value_db]
+                     for item in getattr(config, key)]
+               for key in ("tx_items", "loss_items", "rx_items")},
+            **{key: getattr(config, key) for key in (
+                "noise_bandwidth_hz", "noise_figure_db", "rx_threshold_db",
+                "printed_totals", "text_values")}}
+
+
+LEDGER = _reference_ledger()
 
 
 # (subcommand, field to set, value, field the error must name)
@@ -334,6 +400,29 @@ MALFORMED = [
     ("berdist", "berdist", {"data_rate": 5.0, "noise_power_dbm": -50.0},
      "berdist.data_rate"),
     ("berdist", "berdist.link", {"tx_power": 5.0}, "berdist.link.tx_power"),
+    ("network", "network.positions.foo", [1e300, 0, 0],
+     "network.positions.foo"),
+    ("network", "network.positions.u99", [5, 5, 5], "network.positions.u99"),
+    # named the section, not the link, before LinkParams checked heights
+    ("channel", "channel.link.tx_height", 0, "channel.link"),
+    ("channel", "channel.link.rx_height", -5, "channel.link"),
+    # each passed validate, then exited 1 from the budget arithmetic
+    ("budget", "budget", {**LEDGER, "antenna": {"operational_temp": -1}},
+     "budget.antenna"),
+    ("budget", "budget", {**LEDGER, "antenna": {"standard_temp": 0}},
+     "budget.antenna"),
+    ("budget", "budget", {**LEDGER, "antenna": {"vswr": 1e300}},
+     "budget.antenna"),
+    # library checks that no other test reaches
+    ("channel", "channel.link.tx_gain", 0, "channel.link"),
+    ("channel", "channel.fading.rician_k", -1, "channel.fading"),
+    ("formation", "formation.gains.ki", -1, "formation.gains"),
+    ("wind", "wind.sigma", [-1, 1, 1], "wind"),
+    *(("optimize", "optimize", {"algorithm": algorithm, "max_iters": 0},
+       "optimize") for algorithm in ("pso", "gwo", "wpa")),
+    ("budget", "budget.antenna", {"input_impedance": 0}, "budget.antenna"),
+    ("budget", "budget", {**LEDGER, "tx_items": []}, "budget"),
+    ("budget", "budget", {**LEDGER, "noise_bandwidth_hz": 0}, "budget"),
 ]
 
 
@@ -356,6 +445,45 @@ def test_malformed_config_one_line_exit_2(tmp_path, config_dict, capsys,
     assert lines[0].startswith(f"error: config: {named}")
     assert not out.exists()   # rejected before any runner
     assert main(["validate", "--config", path]) == EXIT_INVALID
+
+
+# (a pattern of the message, call that must raise it): the library checks
+# on values that the config schema never passes on, by type or by an
+# earlier check
+LIBRARY_ONLY = [
+    ("distance must be", lambda: channel.two_ray_received_power(
+        cli._link(), 0.0)),
+    ("rotor speed", lambda: dynamics.rotor_spin_dynamics(
+        cli._uav(), -1.0, 0.0, 0.0)),
+    ("position must be", lambda: formation.Pose((1.0, 2.0))),
+    ("offset must be", lambda: formation.FormationSpec(
+        formation.FormationMode.FIXED_GLOBAL_DIFFERENCE, (math.inf, 0, 0))),
+    ("value_db must be", lambda: linkbudget.BudgetLineItem(
+        "Tx Gain", math.nan)),
+    *(("wavelength and distance", lambda args=args: linkbudget.path_loss_db(
+        *args)) for args in ((0.0, 1.0), (0.125, 0.0))),
+    *(("temperatures must be", lambda args=args: linkbudget.noise_figure(
+        *args)) for args in ((-1.0, 298.0), (358.0, 0.0))),
+    ("[|]rho[|] must be", lambda: linkbudget.output_impedance(1.0, 50.0)),
+    ("lower and upper must be", lambda: swarm_opt.SearchSpace(
+        lower=[0.0, 0.0], upper=[1.0])),
+    *(("c1 and c2 must be", lambda c=c: swarm_opt.PsoConfig(**c))
+      for c in ({"c1": -1.0}, {"c2": -1.0})),
+    ("iteration counts", lambda: swarm_opt.WpaConfig(scout_max_repeats=0)),
+    ("positions, velocities", lambda: swarm_opt.pso_step(
+        np.zeros((3, 2)), np.zeros((3, 1)), np.zeros((3, 2)), np.zeros(2),
+        swarm_opt.PsoConfig(), np.random.default_rng(0))),
+    ("global_best", lambda: swarm_opt.pso_step(
+        np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((3, 2)), np.zeros(3),
+        swarm_opt.PsoConfig(), np.random.default_rng(0))),
+]
+
+
+@pytest.mark.parametrize("message,call", LIBRARY_ONLY,
+                         ids=[message for message, _ in LIBRARY_ONLY])
+def test_library_checks_the_config_never_reaches(message, call):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_unknown_keys_warn_one_line_each(tmp_path, config_dict, capsys):

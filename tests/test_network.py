@@ -303,6 +303,25 @@ def test_topology_validation():
                        positions)
 
 
+def test_graphs_hold_only_their_nodes_positions():
+    positions = {GROUND_STATION_ID: (0, 0, 0), "u0": (1, 0, 0),
+                 "relay": (5, 5, 5)}
+    for kind in TopologyKind:
+        graph = build_topology(kind, 1, 1, 10.0, positions)
+        assert graph.positions.keys() == graph.roles.keys() == {
+            GROUND_STATION_ID, "u0"}
+
+
+def test_grid_graph_links_open_neighbours():
+    grid = grid_graph(3, 2, walls={(1, 1)})
+    assert grid.edges == [("0,0", "0,1", 1.0), ("0,0", "1,0", 1.0),
+                          ("1,0", "2,0", 1.0), ("2,0", "2,1", 1.0)]
+    assert grid.positions.keys() == grid.roles.keys() == {
+        "0,0", "0,1", "1,0", "2,0", "2,1"}
+    assert grid.positions["2,1"].tolist() == [2.0, 1.0, 0.0]
+    assert set(grid.roles.values()) == {NodeRole.SLAVE_UAV}
+
+
 def test_star_gs_is_single_point_of_failure():
     rng = np.random.default_rng(6)
     graph = build_topology(TopologyKind.STAR, 4, 1, 100.0,
