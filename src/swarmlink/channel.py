@@ -61,6 +61,8 @@ class LinkParams:
             raise ValueError("antenna gains must be > 0")
         if self.tx_height <= 0 or self.rx_height <= 0:
             raise ValueError("antenna heights must be > 0")
+        if self.distance <= 0:
+            raise ValueError("distance must be > 0")
         if not -1.0 <= self.ground_reflection <= 0.0:
             raise ValueError("ground_reflection must lie in [-1, 0]")
 

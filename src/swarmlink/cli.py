@@ -53,7 +53,7 @@ def _write_csv(path: Path, header: list[str], *columns) -> Path:
 
 def _write_json(path: Path, payload) -> Path:
     with path.open("w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return path
 
@@ -366,6 +366,15 @@ def _budget(b: dict) -> dict:
         **{key: b[key] for key in _BUDGET_FIGURES},
         printed_totals=b["printed_totals"] or {},
         text_values=b["text_values"] or {})
+    # every figure is finite, but the totals built from them may not be;
+    # AntennaSpec checks the antenna's derived values
+    for mode in linkbudget.BudgetMode:
+        budget = linkbudget.compute_budget(b["antenna"], b["config"], mode)
+        try:
+            json.dumps(_budget_json(b["antenna"], budget), allow_nan=False)
+        except ValueError:
+            raise ConfigError(f"budget: a total of the ledger is not finite "
+                              f"in {mode.value} mode") from None
     return b
 
 
@@ -657,14 +666,9 @@ def _budget_report_text(budget) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_budget(scenario: dict, out: Path) -> list[Path]:
+def _budget_json(antenna, budget) -> dict:
+    """The payload of budget.json."""
     from . import linkbudget
-    section = scenario["budget"]
-    antenna = section["antenna"]
-    budget = linkbudget.compute_budget(antenna, section["config"],
-                                       linkbudget.BudgetMode(scenario["mode"]))
-    report_path = out / "budget_report.txt"
-    report_path.write_text(_budget_report_text(budget))
     rho = linkbudget.vswr_to_reflection(antenna.vswr)
     payload = {key: getattr(budget, key) for key in (
         "eirp_db", "total_path_loss_db", "total_rx_gain_db", "rsl_db",
@@ -678,7 +682,18 @@ def run_budget(scenario: dict, out: Path) -> list[Path]:
                  "output_impedance_ohm": linkbudget.output_impedance(
                      rho, antenna.input_impedance)},
         discrepancies=[asdict(d) for d in budget.discrepancies])
-    return [report_path, _write_json(out / "budget.json", payload)]
+    return payload
+
+
+def run_budget(scenario: dict, out: Path) -> list[Path]:
+    from . import linkbudget
+    section = scenario["budget"]
+    budget = linkbudget.compute_budget(section["antenna"], section["config"],
+                                       linkbudget.BudgetMode(scenario["mode"]))
+    report_path = out / "budget_report.txt"
+    report_path.write_text(_budget_report_text(budget))
+    return [report_path, _write_json(out / "budget.json",
+                                     _budget_json(section["antenna"], budget))]
 
 
 def run_berdist(scenario: dict, out: Path) -> list[Path]:
@@ -768,7 +783,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except OSError as exc:

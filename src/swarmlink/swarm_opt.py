@@ -3,10 +3,11 @@ particle swarm optimization (PSO), the wolf pack algorithm (WPA) and the
 grey wolf optimizer (GWO).
 
 All three minimize a user-supplied fitness function, called with one
-point at a time. Runs are fully deterministic for a given seed: the RNG
-stream is consumed in a fixed order regardless of how fitness evaluations
-are scheduled, and each GWO step draws all of its random numbers in one
-call, in the order of a per-wolf, per-leader loop.
+point at a time; ``_evaluate`` evaluates every population, and a run
+keeps its best so far in :class:`OptimizerRun`. Runs are deterministic for
+a given seed: the RNG stream is consumed in a fixed order regardless of
+how fitness evaluations are scheduled, and each GWO step draws all of its
+random numbers in one call, in the order of a per-wolf, per-leader loop.
 """
 from __future__ import annotations
 
@@ -162,6 +163,23 @@ class OptimizerRun:
     best_value: float
     trace: list[float] = field(default_factory=list)
 
+    @classmethod
+    def _start(cls, position: np.ndarray, value: float) -> OptimizerRun:
+        """A run whose best so far is the evaluated ``position``."""
+        return cls(position.copy(), float(value), [float(value)])
+
+    def _keep(self, position: np.ndarray, value: float) -> bool:
+        """Keep a strictly better point; return whether it was kept."""
+        better = bool(value < self.best_value)
+        if better:
+            self.best_position, self.best_value = position.copy(), float(value)
+        return better
+
+
+def _evaluate(fitness: Fitness, points: np.ndarray) -> np.ndarray:
+    """Fitness of every row of ``points``, one call per point in order."""
+    return np.array([fitness(p) for p in points])
+
 
 def pso_step(positions: np.ndarray, velocities: np.ndarray,
              personal_bests: np.ndarray, global_best: np.ndarray,
@@ -201,34 +219,25 @@ def pso_optimize(fitness: Fitness, space: SearchSpace,
     rng = np.random.default_rng(config.seed)
     positions = space.sample(rng, config.n_particles)
     velocities = rng.uniform(-1.0, 1.0, size=positions.shape) * space.span * 0.1
-    values = np.array([fitness(p) for p in positions])
     personal_bests = positions.copy()
-    personal_values = values.copy()
+    personal_values = _evaluate(fitness, positions)
     g = int(np.argmin(personal_values))
-    best_position = personal_bests[g].copy()
-    best_value = float(personal_values[g])
-    trace = [best_value]
+    run = OptimizerRun._start(personal_bests[g], personal_values[g])
     for it in range(config.max_iters):
-        if config.paper_literal:
-            inertia = 1.0
-        else:
-            frac = it / max(config.max_iters - 1, 1)
-            inertia = config.inertia_start + frac * (config.inertia_end
-                                                     - config.inertia_start)
+        inertia = 1.0 if config.paper_literal else (
+            config.inertia_start + it / max(config.max_iters - 1, 1)
+            * (config.inertia_end - config.inertia_start))
         positions, velocities = pso_step(
-            positions, velocities, personal_bests, best_position,
+            positions, velocities, personal_bests, run.best_position,
             config, rng, inertia=inertia, space=space)
-        values = np.array([fitness(p) for p in positions])
+        values = _evaluate(fitness, positions)
         improved = values < personal_values
         personal_bests[improved] = positions[improved]
         personal_values[improved] = values[improved]
         g = int(np.argmin(personal_values))
-        if personal_values[g] < best_value:
-            best_value = float(personal_values[g])
-            best_position = personal_bests[g].copy()
-        trace.append(best_value)
-    return OptimizerRun(best_position=best_position, best_value=best_value,
-                        trace=trace)
+        run._keep(personal_bests[g], personal_values[g])
+        run.trace.append(run.best_value)
+    return run
 
 
 def gwo_step(positions: np.ndarray, alpha: np.ndarray, beta: np.ndarray,
@@ -260,29 +269,18 @@ def gwo_optimize(fitness: Fitness, space: SearchSpace,
     linearly from 2 to 0 across the iterations."""
     rng = np.random.default_rng(config.seed)
     positions = space.sample(rng, config.n_wolves)
-    values = np.array([fitness(p) for p in positions])
-
-    def leaders():
-        order = np.argsort(values, kind="stable")
-        return order[0], order[1], order[2]
-
-    ia, ib, idl = leaders()
-    best_position = positions[ia].copy()
-    best_value = float(values[ia])
-    trace = [best_value]
+    values = _evaluate(fitness, positions)
+    order = np.argsort(values, kind="stable")
+    run = OptimizerRun._start(positions[order[0]], values[order[0]])
     for it in range(config.max_iters):
         a = 2.0 * (1.0 - it / config.max_iters)
-        positions = gwo_step(positions, positions[ia], positions[ib],
-                             positions[idl], a, rng)
-        positions = space.clamp(positions)
-        values = np.array([fitness(p) for p in positions])
-        ia, ib, idl = leaders()
-        if values[ia] < best_value:
-            best_value = float(values[ia])
-            best_position = positions[ia].copy()
-        trace.append(best_value)
-    return OptimizerRun(best_position=best_position, best_value=best_value,
-                        trace=trace)
+        positions = space.clamp(
+            gwo_step(positions, *positions[order[:3]], a, rng))
+        values = _evaluate(fitness, positions)
+        order = np.argsort(values, kind="stable")
+        run._keep(positions[order[0]], values[order[0]])
+        run.trace.append(run.best_value)
+    return run
 
 
 def wpa_optimize(fitness: Fitness, space: SearchSpace,
@@ -304,31 +302,32 @@ def wpa_optimize(fitness: Fitness, space: SearchSpace,
     dim = space.dim
     base_step = config.step_coeff * np.mean(space.span) / dim
     positions = space.sample(rng, n)
-    values = np.array([fitness(p) for p in positions])
+    values = _evaluate(fitness, positions)
     lead = int(np.argmin(values))
-    best_position = positions[lead].copy()
-    best_value = float(values[lead])
-    trace = [best_value]
+    run = OptimizerRun._start(positions[lead], values[lead])
+    n_renew = math.ceil(config.renew_fraction * n)
+    half = config.distance_threshold
+
+    def probe(i: int, step: float) -> bool:
+        """A unit random step from wolf i, kept if better; False if zero."""
+        direction = rng.standard_normal(dim)
+        norm = math.sqrt(direction.dot(direction))
+        if norm == 0:
+            return False
+        point = space.clamp(positions[i] + step * direction / norm)
+        y = fitness(point)
+        if y < values[i]:
+            positions[i], values[i] = point, y
+        return True
+
     for it in range(config.max_iters):
-        decay = 0.99 ** it
-        scout_step = base_step * decay
-        call_step = 4.0 * scout_step
-        besiege_step = 0.5 * scout_step
+        scout_step = base_step * 0.99 ** it
         for i in range(n):
             if i == lead:
                 continue
             # scouting: directed probes, keep the first improving one
             for _ in range(config.scout_max_repeats):
-                direction = rng.standard_normal(dim)
-                norm = math.sqrt(direction.dot(direction))
-                if norm == 0:
-                    continue
-                probe = space.clamp(positions[i] + scout_step * direction / norm)
-                y = fitness(probe)
-                if y < values[i]:
-                    positions[i] = probe
-                    values[i] = y
-                if values[i] < values[lead]:
+                if probe(i, scout_step) and values[i] < values[lead]:
                     break
             # calling: run toward the lead until within distance_threshold
             while values[i] >= values[lead]:
@@ -336,38 +335,24 @@ def wpa_optimize(fitness: Fitness, space: SearchSpace,
                 dist = math.sqrt(gap.dot(gap))
                 if dist <= config.distance_threshold:
                     break
-                move = min(call_step, dist)
+                move = min(4.0 * scout_step, dist)
                 positions[i] = space.clamp(positions[i] + move * gap / dist)
                 values[i] = fitness(positions[i])
             # besieging: one small random step around the prey (lead)
-            direction = rng.standard_normal(dim)
-            norm = math.sqrt(direction.dot(direction))
-            if norm > 0:
-                probe = space.clamp(positions[i] + besiege_step * direction / norm)
-                y = fitness(probe)
-                if y < values[i]:
-                    positions[i] = probe
-                    values[i] = y
+            probe(i, 0.5 * scout_step)
         # winner-take-all lead replacement
         challenger = int(np.argmin(values))
         if values[challenger] < values[lead]:
             lead = challenger
-        if values[lead] < best_value:
-            best_value = float(values[lead])
-            best_position = positions[lead].copy()
+        run._keep(positions[lead], values[lead])
         # renewal: respawn the worst wolves near the best wolf
-        n_renew = math.ceil(config.renew_fraction * n)
-        worst = np.argsort(values, kind="stable")[::-1]
-        worst = [int(w) for w in worst if int(w) != lead][:n_renew]
-        half = config.distance_threshold
+        worst = [int(w) for w in np.argsort(values, kind="stable")[::-1]
+                 if w != lead][:n_renew]
         for w in worst:
             positions[w] = space.clamp(
                 positions[lead] + rng.uniform(-half, half, size=dim))
             values[w] = fitness(positions[w])
-            if values[w] < best_value:
-                best_value = float(values[w])
-                best_position = positions[w].copy()
+            if run._keep(positions[w], values[w]):
                 lead = w
-        trace.append(best_value)
-    return OptimizerRun(best_position=best_position, best_value=best_value,
-                        trace=trace)
+        run.trace.append(run.best_value)
+    return run

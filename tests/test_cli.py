@@ -189,6 +189,20 @@ def test_out_below_a_file_is_io_error(tmp_path, config_dict, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: io: ")
 
 
+# each passes validate; 10**18 float64 values (8e18 bytes) fit no 64-bit
+# address space, so numpy refuses the array before touching memory
+@pytest.mark.parametrize("subcommand,field", [
+    ("optimize", "optimize.dim"), ("channel", "channel.sweep.n"),
+    ("berdist", "berdist.n"), ("wind", "wind.n_omega")])
+def test_config_too_large_to_allocate_one_line_exit_1(
+        tmp_path, config_dict, capsys, subcommand, field):
+    _set(config_dict, field, 10 ** 18)
+    assert main([subcommand, "--config", _write(tmp_path, config_dict),
+                 "--out", str(tmp_path / "out")]) == EXIT_ERROR
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "Unable to allocate" in lines[0]
+
+
 def test_wind_rerun_byte_identical(tmp_path, config_dict):
     path = _write(tmp_path, config_dict)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -423,6 +437,27 @@ MALFORMED = [
     ("budget", "budget.antenna", {"input_impedance": 0}, "budget.antenna"),
     ("budget", "budget", {**LEDGER, "tx_items": []}, "budget"),
     ("budget", "budget", {**LEDGER, "noise_bandwidth_hz": 0}, "budget"),
+    # each passed validate, then wrote Infinity into budget.json
+    ("budget", "budget", {**LEDGER, "tx_items": [["a", 1e308], ["b", 1e308]]},
+     "budget"),
+    ("budget", "budget", {**LEDGER, "loss_items": [["a", -1e308],
+                                                   ["b", -1e308]]},
+     "budget"),
+    # overflows in paper mode only, which validate checks as well
+    ("budget", "budget", {**LEDGER, "printed_totals": {
+        "total_path_loss_db": -1e308, "total_rx_gain_db": -1e308}},
+     "budget"),
+    ("budget", "budget", {**LEDGER, "antenna": {"input_power": 1e308,
+                                                "vswr": 1e8}},
+     "budget.antenna"),
+    ("budget", "budget", {**LEDGER, "antenna": {"operational_temp": 1e308,
+                                                "standard_temp": 1e-300}},
+     "budget.antenna"),
+    # each passed validate; the sweeps never read link.distance
+    ("channel", "channel.link.distance", 0, "channel.link"),
+    ("berdist", "berdist", {"use_reference": False, "link": {
+        "tx_power": 50.0, "wavelength": 0.125, "distance": -5},
+        "data_rate": 1e6, "noise_power_dbm": -120.0}, "berdist.link"),
 ]
 
 

@@ -355,14 +355,22 @@ def test_wpa_run_matches_parent(seed, dim, lower, width, which):
 
 
 def test_full_size_runs_match_parent():
-    """The sizes the CLI uses by default, on the 10-D box."""
+    """The sizes the benchmark's stochastic workload runs, on the 10-D
+    box."""
     space = _space(10, -5.0, 10.0)
-    for seed, (fitness, reference) in zip((3, 4), FITNESS):
-        config = GwoConfig(n_wolves=30, max_iters=400, seed=seed)
-        run = gwo_optimize(fitness, space, config)
-        position, trace = reference_gwo(reference, space, config)
-        assert bits(run.trace) == bits(trace)
-        assert bits(run.best_position) == bits(position)
+    sizes = [(pso_optimize, reference_pso,
+              PsoConfig(n_particles=40, max_iters=600)),
+             (gwo_optimize, reference_gwo,
+              GwoConfig(n_wolves=30, max_iters=400)),
+             (wpa_optimize, reference_wpa,
+              WpaConfig(n_wolves=20, max_iters=200))]
+    for optimize, oracle, config in sizes:
+        for seed, (fitness, reference) in zip((3, 4), FITNESS):
+            config = replace(config, seed=seed)
+            run = optimize(fitness, space, config)
+            position, trace = oracle(reference, space, config)
+            assert bits(run.trace) == bits(trace)
+            assert bits(run.best_position) == bits(position)
 
 
 # -------------------------------------------------------- Monte Carlo

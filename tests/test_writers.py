@@ -9,6 +9,7 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from swarmlink import cli
@@ -60,6 +61,9 @@ EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                math.nextafter(1e-4, 0.0), 0.0001000000000000001, 1e-5,
                math.inf, -math.inf, math.nan, 1.7976931348623157e308, 0.1]
 floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+finite_floats = st.one_of(
+    st.sampled_from([x for x in EDGE_FLOATS if math.isfinite(x)]),
+    st.floats(allow_nan=False, allow_infinity=False))
 row_counts = st.sampled_from([0, 1, BLOCK - 1, BLOCK, BLOCK + 1,
                               2 * BLOCK + 1])
 ids = st.text(st.characters(blacklist_categories=("Cs",),
@@ -91,15 +95,16 @@ def columns(draw):
     return [f"c{i}" for i in order], [cols[i] for i in order]
 
 
-json_leaves = st.one_of(st.none(), st.booleans(), st.integers(), floats,
-                        st.text(max_size=8))
-payloads = st.recursive(
-    json_leaves,
-    lambda children: st.one_of(
-        st.lists(children, max_size=5),
-        st.tuples(children, children),
-        st.dictionaries(st.text(max_size=8), children, max_size=5)),
-    max_leaves=40)
+def json_payloads(numbers):
+    leaves = st.one_of(st.none(), st.booleans(), st.integers(), numbers,
+                       st.text(max_size=8))
+    return st.recursive(
+        leaves,
+        lambda children: st.one_of(
+            st.lists(children, max_size=5),
+            st.tuples(children, children),
+            st.dictionaries(st.text(max_size=8), children, max_size=5)),
+        max_leaves=40)
 
 
 # ----------------------------------------------------------------- tests
@@ -113,10 +118,27 @@ def test_csv_matches_row_writer(case):
 
 
 @settings(max_examples=200, deadline=None)
-@given(payloads)
+@given(json_payloads(finite_floats))
 def test_json_matches_dumps(payload):
     assert written(cli._write_json, payload) == \
         written(reference_json, payload)
+
+
+@settings(max_examples=100, deadline=None)
+@given(json_payloads(floats))
+def test_json_refuses_what_is_not_json(payload):
+    """A payload with an inf or nan would write ``Infinity`` or ``NaN``,
+    which RFC 8259 does not allow: refused as
+    ``json.dumps(allow_nan=False)`` refuses it; any other keeps the bytes
+    of ``json.dumps``."""
+    try:
+        json.dumps(payload, allow_nan=False)
+    except ValueError:
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            written(cli._write_json, payload)
+    else:
+        assert written(cli._write_json, payload) == \
+            written(reference_json, payload)
 
 
 def test_mixed_python_list_keeps_ints():
