@@ -349,21 +349,13 @@ def _channel(c: dict) -> dict:
 def _budget(b: dict) -> dict:
     from . import linkbudget
     if b["use_reference"]:
-        antenna = linkbudget.reference_antenna()
-        config = linkbudget.reference_budget_config()
-        _as_reference("budget", b, {
-            "antenna": antenna,
-            **{key: [(item.label, item.value_db)
-                     for item in getattr(config, key)]
-               for key in _BUDGET_ITEMS},
-            **{key: getattr(config, key) for key in (
-                *_BUDGET_FIGURES, "printed_totals", "text_values")}})
-        return {**b, "antenna": antenna, "config": config}
+        reference = {"antenna": linkbudget.reference_antenna(),
+                     **linkbudget.reference_ledger()}
+        _as_reference("budget", b, reference)
+        b.update(reference)
     _need(b, "budget", *_BUDGET_ITEMS, *_BUDGET_FIGURES)
     b["config"] = linkbudget.BudgetConfig(
-        **{key: tuple(linkbudget.BudgetLineItem(*item) for item in b[key])
-           for key in _BUDGET_ITEMS},
-        **{key: b[key] for key in _BUDGET_FIGURES},
+        **{key: b[key] for key in (*_BUDGET_ITEMS, *_BUDGET_FIGURES)},
         printed_totals=b["printed_totals"] or {},
         text_values=b["text_values"] or {})
     # every figure is finite, but the totals built from them may not be;
@@ -406,10 +398,11 @@ def _apf(a: dict) -> dict:
     with _at("network.apf.start"):
         a["field"].check_start(a["start"])
     overflow = network.gradient_overflow(
-        a["field"], a["attract_gain"], a["repel_gain"], a["influence_radius"])
+        a["field"], a["attract_gain"], a["repel_gain"], a["influence_radius"],
+        a["step"])
     if overflow:
-        raise ConfigError(f"network.apf.{overflow}: the gradient overflows "
-                          "where it is largest")
+        raise ConfigError(f"network.apf.{overflow}: the gradient or a step "
+                          "along it overflows where the gradient is largest")
     return a
 
 
@@ -448,6 +441,7 @@ _CHECKS = {"dt": (lambda dt: dt > 0, "must be > 0"),
                             "network.n_groups"),
                            (lambda n: n >= 1, "must be >= 1")),
            **dict.fromkeys(("network.link_range", "network.apf.step",
+                            "network.apf.influence_radius",
                             "wind.sample_spacing"),
                            (lambda x: x > 0, "must be > 0")),
            **dict.fromkeys(("wind.n_omega", "channel.sweep.n", "berdist.n",
@@ -505,7 +499,6 @@ DEFAULTS = {
             swarmlink.linkbudget.PRINTED_TOTALS, float), _given),
         "text_values": _section(lambda: dict.fromkeys(
             swarmlink.linkbudget.TEXT_VALUES, float), _given)}, _budget),
-    # left out, it is parsed from {} by the berdist subcommand alone
     "berdist": _section(lambda: {
         "use_reference": True, "link": _link(), "data_rate": float,
         "noise_power_dbm": float, "d_min": 100.0, "d_max": 10000.0,
@@ -771,10 +764,7 @@ def main(argv=None) -> int:
             print("configuration valid")
             return EXIT_OK
         if scenario[args.subcommand] is None:
-            if args.subcommand != "berdist":
-                raise ConfigError(f"{args.subcommand}: section required")
-            # without a section, berdist runs the reference link
-            scenario["berdist"] = DEFAULTS["berdist"]({}, "berdist", [])
+            raise ConfigError(f"{args.subcommand}: section required")
         scenario["mode"] = args.mode
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

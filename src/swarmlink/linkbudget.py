@@ -6,7 +6,10 @@ differs between text and table, two different receiver thresholds, and a
 noise figure computed with a 20*log10 convention). ``PAPER_LITERAL`` mode
 reproduces the printed downstream numbers by taking the printed totals as
 overrides; ``CORRECTED_SUM`` mode recomputes every total from its items.
-Both modes attach a discrepancy report naming each conflict. The same
+Both modes attach a discrepancy report naming each conflict. The
+reference tables are data in the config's form (:func:`reference_ledger`:
+line items as ``(label, dB)`` pairs), so they take the same path as a
+ledger written out in a scenario file. The same
 :class:`BudgetMode` picks the BER formula of :func:`ber_vs_distance`: the
 printed one in ``PAPER_LITERAL`` mode, the standard one in
 ``CORRECTED_SUM`` mode.
@@ -42,6 +45,7 @@ __all__ = [
     "dbm_to_watts",
     "ber_vs_distance",
     "reference_antenna",
+    "reference_ledger",
     "reference_budget_config",
     "reference_ber_distance_link",
 ]
@@ -92,12 +96,14 @@ class AntennaSpec:
 
     def __post_init__(self):
         # vswr_to_reflection raises below 1; run_budget needs |rho| < 1
-        # and a finite incident power, compute_budget's noise_figure these
-        # temperatures and a finite result
+        # and a finite incident power > 0, compute_budget's noise_figure
+        # these temperatures and a finite result
         rho = vswr_to_reflection(self.vswr)
         if rho >= 1:
             raise ValueError("vswr is too large: the reflection coefficient "
                              "rounds to 1")
+        if self.input_power <= 0:
+            raise ValueError("input_power must be > 0")
         if self.input_impedance <= 0:
             raise ValueError("input_impedance must be > 0")
         if self.operational_temp < 0 or self.standard_temp <= 0:
@@ -117,8 +123,8 @@ TEXT_VALUES = ("path_loss_db", "rx_threshold_dbm", "rsl_db")
 
 @dataclass(frozen=True)
 class BudgetConfig:
-    """Line items plus the printed totals and conflicting text values that
-    the discrepancy report checks against."""
+    """Line items, given as ``(label, dB)`` pairs, plus the printed totals
+    and conflicting text values that the discrepancy report checks."""
 
     tx_items: tuple
     loss_items: tuple
@@ -131,7 +137,7 @@ class BudgetConfig:
 
     def __post_init__(self):
         for name in ("tx_items", "loss_items", "rx_items"):
-            items = tuple(getattr(self, name))
+            items = tuple(BudgetLineItem(*i) for i in getattr(self, name))
             if not items:
                 raise ValueError(f"{name} must not be empty")
             object.__setattr__(self, name, items)
@@ -227,13 +233,7 @@ def compute_budget(antenna: AntennaSpec, config: BudgetConfig,
     eirp = _total(config.tx_items)
     loss_sum = _total(config.loss_items)
     rx_sum = _total(config.rx_items)
-
-    discrepancies = []
-    printed = config.printed_totals
-    for label, computed in zip(PRINTED_TOTALS, (eirp, loss_sum, rx_sum)):
-        if label in printed and abs(printed[label] - computed) > 1e-9:
-            discrepancies.append(
-                Discrepancy(label, printed[label], computed))
+    printed, text = config.printed_totals, config.text_values
 
     if mode is BudgetMode.PAPER_LITERAL:
         path_total = printed.get("total_path_loss_db", loss_sum)
@@ -250,18 +250,17 @@ def compute_budget(antenna: AntennaSpec, config: BudgetConfig,
     rsl = eirp + rx_total + path_total
     margin = eirp + path_total + rx_total - threshold
     noise_dbm = noise_power_dbm(config.noise_bandwidth_hz, nf_db)
-
-    text = config.text_values
-    for key, label, computed in zip(
-            TEXT_VALUES, ("path_loss_db", "rx_threshold_db", "rsl_db"),
-            (config.loss_items[0].value_db, threshold, rsl)):
-        if key in text and abs(text[key] - computed) > 1e-9:
-            discrepancies.append(Discrepancy(label, text[key], computed))
     _, nf_paper = noise_figure(antenna.operational_temp,
                                antenna.standard_temp, paper_convention=True)
-    if abs(config.noise_figure_db - nf_paper) > 5e-3:
-        discrepancies.append(
-            Discrepancy("noise_figure_db", config.noise_figure_db, nf_paper))
+    # (label, printed value or None, computed value, tolerance) in report
+    # order: the printed totals, the text values, the noise figure
+    checks = [
+        *((key, printed.get(key), computed, 1e-9) for key, computed in zip(
+            PRINTED_TOTALS, (eirp, loss_sum, rx_sum))),
+        *((label, text.get(key), computed, 1e-9) for key, label, computed in
+          zip(TEXT_VALUES, ("path_loss_db", "rx_threshold_db", "rsl_db"),
+              (config.loss_items[0].value_db, threshold, rsl))),
+        ("noise_figure_db", config.noise_figure_db, nf_paper, 5e-3)]
 
     return LinkBudget(
         mode=mode,
@@ -276,7 +275,10 @@ def compute_budget(antenna: AntennaSpec, config: BudgetConfig,
         noise_power_dbm=noise_dbm,
         rx_threshold_db=threshold,
         link_margin_db=margin,
-        discrepancies=tuple(discrepancies),
+        discrepancies=tuple(
+            Discrepancy(label, value, computed)
+            for label, value, computed, tolerance in checks
+            if value is not None and abs(value - computed) > tolerance),
     )
 
 
@@ -333,29 +335,30 @@ def reference_antenna() -> AntennaSpec:
     )
 
 
-def reference_budget_config() -> BudgetConfig:
-    """Line items of the reference budget tables, including the printed
-    totals and text values that the arithmetic contradicts."""
-    return BudgetConfig(
-        tx_items=(
-            BudgetLineItem("Tx Gain", 2.0),
-            BudgetLineItem("Tx Loss", -0.1),
-            BudgetLineItem("Tx Power", 16.989),
-            BudgetLineItem("Radome Loss", -0.1),
-        ),
-        loss_items=(
-            BudgetLineItem("Path Loss", -101.06),
-            BudgetLineItem("Tx Pointing Error", -0.5),
-            BudgetLineItem("Rain Loss", -1.0),
-            BudgetLineItem("Multipath", -1.0),
-            BudgetLineItem("Atmospheric Loss", -0.1),
-        ),
-        rx_items=(
-            BudgetLineItem("Rx Gain", 2.0),
-            BudgetLineItem("Polarisation Loss", -0.1),
-            BudgetLineItem("Rx Loss", -0.1),
-            BudgetLineItem("Rx Pointing Loss", -0.5),
-        ),
+def reference_ledger() -> dict:
+    """The reference budget tables as :class:`BudgetConfig` fields, line
+    items as ``(label, dB)`` pairs, including the printed totals and text
+    values that the arithmetic contradicts."""
+    return dict(
+        tx_items=[
+            ("Tx Gain", 2.0),
+            ("Tx Loss", -0.1),
+            ("Tx Power", 16.989),
+            ("Radome Loss", -0.1),
+        ],
+        loss_items=[
+            ("Path Loss", -101.06),
+            ("Tx Pointing Error", -0.5),
+            ("Rain Loss", -1.0),
+            ("Multipath", -1.0),
+            ("Atmospheric Loss", -0.1),
+        ],
+        rx_items=[
+            ("Rx Gain", 2.0),
+            ("Polarisation Loss", -0.1),
+            ("Rx Loss", -0.1),
+            ("Rx Pointing Loss", -0.5),
+        ],
         noise_bandwidth_hz=25e6,
         noise_figure_db=6.84,
         rx_threshold_db=-88.0,
@@ -370,6 +373,11 @@ def reference_budget_config() -> BudgetConfig:
             "rsl_db": -81.171,  # table 6 print; arithmetic gives -81.771
         },
     )
+
+
+def reference_budget_config() -> BudgetConfig:
+    """The reference budget tables, :func:`reference_ledger`, built."""
+    return BudgetConfig(**reference_ledger())
 
 
 def reference_ber_distance_link() -> tuple[LinkParams, float, float]:

@@ -530,18 +530,23 @@ def _apf_potential(points: np.ndarray, fld: ObstacleField,
 
 
 def gradient_overflow(fld: ObstacleField, attract_gain: float,
-                      repel_gain: float, influence_radius: float):
-    """``attract_gain`` or ``repel_gain``, the first at which the
+                      repel_gain: float, influence_radius: float,
+                      step: float):
+    """``attract_gain``, ``repel_gain`` or ``step``, the first at which the
     gradient's length where it is largest overflows as norm() squares it,
-    or None. Largest is the attraction at the box corner farthest from the
-    goal plus every obstacle's repulsion at the surface floor."""
+    or a step of ``step`` times that length overflows; else None. Largest
+    is the attraction at the box corner farthest from the goal plus every
+    obstacle's repulsion at the surface floor."""
     pull = abs(attract_gain) * _reach(fld.goal)
     push = 0.0
     if influence_radius > _SURFACE_FLOOR:
         push = (len(fld.radii) * abs(repel_gain) / _SURFACE_FLOOR ** 2
                 * (1.0 / _SURFACE_FLOOR - 1.0 / influence_radius))
-    for name, length in (("attract_gain", pull), ("repel_gain", pull + push)):
-        if not math.isfinite(length * length):
+    length = pull + push
+    for name, size in (("attract_gain", pull * pull),
+                       ("repel_gain", length * length),
+                       ("step", step * length)):
+        if not math.isfinite(size):
             return name
     return None
 
@@ -555,14 +560,15 @@ def apf_plan(start, fld: ObstacleField, attract_gain: float = 1.0,
     A local minimum is declared when the per-step displacement drops below
     ``_STALL_TOLERANCE`` while the goal is farther than ``_GOAL_TOLERANCE``.
     """
-    if step <= 0:
-        raise ValueError("step must be > 0")
+    if step <= 0 or influence_radius <= 0:
+        raise ValueError("step and influence_radius must be > 0")
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
     overflow = gradient_overflow(fld, attract_gain, repel_gain,
-                                 influence_radius)
+                                 influence_radius, step)
     if overflow:
-        raise ValueError(f"{overflow}: the gradient overflows")
+        raise ValueError(f"{overflow}: the gradient or a step along it "
+                         "overflows")
     point = np.asarray(start, dtype=float).copy()
     fld.check_start(point)
     trajectory = [point.copy()]

@@ -31,7 +31,8 @@ def _fly(states, targets, gains: PidGains, params: UavParams, dt: float,
          duration: float):
     """Fly the UavStates ``states`` as (N, 3) arrays toward ``targets(t)``,
     the ``(positions, headings)`` at tick time t. Returns ``(times (n,),
-    positions (N, n, 3))``."""
+    positions (N, n, 3))``; raises ValueError naming the tick time at which
+    a state overflows."""
     if dt <= 0:
         raise ValueError("dt must be > 0")
     if dt >= MAX_DT:
@@ -42,10 +43,14 @@ def _fly(states, targets, gains: PidGains, params: UavParams, dt: float,
                   for name in ("position", "velocity", "euler", "euler_rates"))
     tracks = np.empty((len(states), len(times), 3))
     tracks[:, 0] = state[0]
-    for k in range(len(times) - 1):
-        state = step_states(*state, *movement_steps(
-            *state, *targets(times[k]), gains, params), params, dt)
-        tracks[:, k + 1] = state[0]
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for k in range(len(times) - 1):
+                state = step_states(*state, *movement_steps(
+                    *state, *targets(times[k]), gains, params), params, dt)
+                tracks[:, k + 1] = state[0]
+    except FloatingPointError:
+        raise ValueError(f"the flight overflows at {times[k]:g} s") from None
     return times, tracks
 
 

@@ -6,7 +6,9 @@ import io
 import json
 import math
 import operator
+import re
 import tempfile
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -94,6 +96,45 @@ def test_runtime_failure_is_error(tmp_path, config_dict):
     path = _write(tmp_path, config_dict)
     assert main(["network", "--config", path,
                  "--out", str(tmp_path / "o")]) == EXIT_ERROR
+
+
+# (subcommand, field, a value whose flight overflows, one whose does not)
+OVERFLOWING_FLIGHTS = [
+    ("dynamics", "dynamics.params.mass", 1e308, 1e200),
+    ("dynamics", "dynamics.initial_position", [1e308, 0, 0], [1e200, 0, 0]),
+    ("dynamics", "dynamics.target_position", [0, 1e308, 0], [0, 1e200, 0]),
+    ("dynamics", "dynamics.gains.kp", 1e308, 1e150),
+    ("formation", "formation.params.mass", 1e308, 1e200),
+    ("formation", "formation.leader_velocity", [1e306, 0, 0], [1e200, 0, 0]),
+]
+
+
+@pytest.mark.parametrize("subcommand,field,value,clean", OVERFLOWING_FLIGHTS,
+                         ids=[f"{f}={v!r}" for _, f, v, _ in
+                              OVERFLOWING_FLIGHTS])
+def test_overflowing_flight_one_line_exit_1(tmp_path, config_dict, capsys,
+                                            subcommand, field, value, clean):
+    """Only flying the closed loop shows the overflow: validate passes,
+    the run exits 1 with one line and writes no CSV, and the same field at
+    a smaller value flies clean."""
+    for k, given_value in enumerate((value, clean)):
+        _set(config_dict, field, given_value)
+        path = _write(tmp_path, config_dict)
+        out = tmp_path / str(k)
+        assert main(["validate", "--config", path]) == EXIT_OK
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main([subcommand, "--config", path, "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        if k == 0:
+            assert code == EXIT_ERROR and len(err) == 1
+            assert err[0].startswith("error: ValueError: the flight "
+                                     "overflows at ")
+            assert not list(out.glob("*.csv"))
+        else:
+            assert code == EXIT_OK and err == []
+            for csv_path in out.glob("*.csv"):
+                _assert_finite_output(csv_path)
 
 
 def test_budget_outputs(tmp_path, config_dict):
@@ -299,15 +340,9 @@ def test_reference_csv_cells_are_numbers(tmp_path):
 def _reference_ledger() -> dict:
     """The reference budget written out as a ``use_reference: false``
     ledger."""
-    config = linkbudget.reference_budget_config()
     return {"use_reference": False,
             "antenna": asdict(linkbudget.reference_antenna()),
-            **{key: [[item.label, item.value_db]
-                     for item in getattr(config, key)]
-               for key in ("tx_items", "loss_items", "rx_items")},
-            **{key: getattr(config, key) for key in (
-                "noise_bandwidth_hz", "noise_figure_db", "rx_threshold_db",
-                "printed_totals", "text_values")}}
+            **linkbudget.reference_ledger()}
 
 
 LEDGER = _reference_ledger()
@@ -453,6 +488,16 @@ MALFORMED = [
     ("budget", "budget", {**LEDGER, "antenna": {"operational_temp": 1e308,
                                                 "standard_temp": 1e-300}},
      "budget.antenna"),
+    # each passed validate, then wrote a negative incident power
+    *(("budget", "budget", {**LEDGER, "antenna": {"input_power": power}},
+       "budget.antenna") for power in (-5, 0)),
+    # each passed validate, then raised ZeroDivisionError, ignored the
+    # obstacles or overflowed in apf_plan
+    ("network", "network.apf.influence_radius", 0,
+     "network.apf.influence_radius"),
+    ("network", "network.apf.influence_radius", -1,
+     "network.apf.influence_radius"),
+    ("network", "network.apf.step", 1e308, "network.apf.step"),
     # each passed validate; the sweeps never read link.distance
     ("channel", "channel.link.distance", 0, "channel.link"),
     ("berdist", "berdist", {"use_reference": False, "link": {
@@ -577,21 +622,24 @@ def test_every_section_has_valid_defaults():
     assert scenario["berdist"]["data_rate"] == 1e6
 
 
-def test_berdist_without_section_runs_reference_link(tmp_path,
-                                                      monkeypatch):
-    # a left-out berdist section is parsed by the berdist subcommand only
-    assert parse_config({})[0]["berdist"] is None
-    run, ran = cli.run_berdist, []
-    monkeypatch.setattr(cli, "run_berdist", lambda scenario, out: ran.append(
-        scenario["berdist"]) or run(scenario, out))
+def test_berdist_needs_its_section_and_empty_runs_reference_link(
+        tmp_path, capsys):
+    out = tmp_path / "none"
+    assert main(["berdist", "--config", _write(tmp_path, {"seed": 1}),
+                 "--out", str(out)]) == EXIT_INVALID
+    assert capsys.readouterr().err.splitlines() == [
+        "error: config: berdist: section required"]
+    assert not out.exists()
+    link, data_rate, noise = linkbudget.reference_ber_distance_link()
+    written = {"use_reference": False, "link": asdict(link),
+               "data_rate": data_rate, "noise_power_dbm": noise}
     outputs = []
-    for name, config in (("none", {}), ("empty", {"berdist": {}})):
+    for name, section in (("empty", {}), ("written", written)):
         out = tmp_path / name
         assert main(["berdist", "--config",
-                     _write(tmp_path, {"seed": 1, **config}),
+                     _write(tmp_path, {"berdist": section}),
                      "--out", str(out)]) == EXIT_OK
         outputs.append((out / "berdist.csv").read_bytes())
-    assert ran[0]["data_rate"] == 1e6 and ran[0] == ran[1]
     assert outputs[0] == outputs[1]
 
 
@@ -673,6 +721,123 @@ def test_validate_fuzz_never_escapes(config):
         assert len(lines) == 1 and lines[0].startswith("error: config: ")
     else:
         assert all(line.startswith("warning: config: ") for line in lines)
+
+
+def _assert_finite_output(path: Path) -> None:
+    """Every number that ``path`` holds is finite."""
+    text = path.read_text()
+    if path.suffix == ".csv":
+        header, *rows = text.splitlines()
+        numeric = [i for i, name in enumerate(header.split(","))
+                   if name != "id"]
+        for row in rows:
+            cells = row.split(",")
+            assert all(math.isfinite(float(cells[i])) for i in numeric), row
+    elif path.suffix == ".json":
+        def finite(token):
+            assert math.isfinite(float(token)), token
+        json.loads(text, parse_float=finite, parse_constant=finite)
+    else:
+        assert not re.search(r"\b(nan|inf)", text, re.IGNORECASE), text
+
+
+# the sizes of configs/reference.json capped, so that each run takes
+# milliseconds
+SMALL_SIZES = {"wind.n_samples": 64, "wind.n_omega": 16, "optimize.dim": 3,
+               "optimize.n_particles": 5, "optimize.max_iters": 5,
+               "channel.n_bits": 200, "channel.ebn0_db": [0, 4],
+               "channel.sweep.n": 10, "network.apf.max_steps": 500}
+
+
+def _small_config(subcommand: str) -> dict:
+    """configs/reference.json's section for ``subcommand`` with its sizes
+    capped; the written-out ledger for budget and a written link for
+    berdist."""
+    link, data_rate, noise = linkbudget.reference_ber_distance_link()
+    sections = {**json.loads(REPO_CONFIG.read_text()), "budget": LEDGER,
+                "berdist": {"use_reference": False, "link": asdict(link),
+                            "data_rate": data_rate, "noise_power_dbm": noise,
+                            "d_min": 100.0, "d_max": 10000.0, "n": 20}}
+    # through JSON, so that the ledger's (label, dB) pairs become lists
+    config = {"seed": 1, "dt": 0.01, "duration": 0.5,
+              subcommand: json.loads(json.dumps(sections[subcommand]))}
+    for field, size in SMALL_SIZES.items():
+        if field.startswith(f"{subcommand}."):
+            _set(config, field, size)
+    return config
+
+
+EXTREMES = [0, -1, 0.5, 3, 1000, -1000, 1e-320, 1e-300, -1e-300, 1e30,
+            1e300, 1e308, -1e308]
+# duration sets the number of ticks as the others set array sizes; at 1000
+# it flies 10^5 ticks, which takes seconds
+SIZE_FIELDS = {"duration", "n", "n_bits", "n_samples", "n_omega", "dim",
+               "n_particles", "max_iters", "max_steps", "n_uavs", "n_groups"}
+RUN_SUBCOMMANDS = ("dynamics", "wind", "optimize", "formation", "channel",
+                   "budget", "berdist", "network")
+
+
+def _numeric_paths(node, prefix=()):
+    if isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield prefix
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _numeric_paths(child, (*prefix, key))
+
+
+# (subcommand, path of one numeric field, the value it is set to)
+RUN_CASES = [
+    (sub, path, value)
+    for sub in RUN_SUBCOMMANDS for path in _numeric_paths(_small_config(sub))
+    for value in ((0, 1, 2, 3) if path[-1] in SIZE_FIELDS else EXTREMES)]
+
+
+def _main(argv) -> tuple[int, list[str]]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue().splitlines()
+
+
+def _check_run_case(subcommand: str, path: tuple, value) -> None:
+    """Set one field of the subcommand's small config to ``value`` and run
+    validate and the subcommand, in both modes where they differ."""
+    config = _small_config(subcommand)
+    functools.reduce(operator.getitem, path[:-1], config)[path[-1]] = value
+    modes = ("paper", "corrected") if subcommand in ("budget", "berdist") \
+        else ("paper",)
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        config_path = Path(tmp) / "config.json"
+        config_path.write_text(json.dumps(config))
+        valid, _ = _main(["validate", "--config", str(config_path)])
+        for mode in modes:
+            out = Path(tmp) / mode
+            code, err = _main([subcommand, "--config", str(config_path),
+                               "--out", str(out), "--mode", mode])
+            assert len(err) == (code != EXIT_OK), err
+            if code == EXIT_INVALID:
+                assert valid == EXIT_INVALID
+                assert err[0].startswith("error: config: ")
+                named = re.split(r"[.:\[]", err[0][15:], maxsplit=1)[0]
+                assert named == path[0] if len(path) > 1 else \
+                    named in cli.DEFAULTS, err
+            else:
+                assert code in (EXIT_OK, EXIT_ERROR) and valid == EXIT_OK
+                for output in out.iterdir() if code == EXIT_OK else ():
+                    _assert_finite_output(output)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.sampled_from(RUN_CASES))
+def test_run_fuzz_one_line_or_finite_outputs(case):
+    """One numeric field set to an extreme value: a one-line exit 2 that
+    names the field's section (validate agrees), a one-line exit 1 after a
+    passing validate, or a clean run whose every number is finite;
+    nothing escapes main, numpy RuntimeWarnings included."""
+    _check_run_case(*case)
 
 
 # (subcommand, field, value): each passed validate and then exited 1 from

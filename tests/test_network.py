@@ -378,11 +378,14 @@ def test_apf_validation():
 def test_apf_fields_that_overflow_are_rejected():
     fld = ObstacleField(goal=np.array([20.0, 0.0, 0.0]),
                         obstacles=((np.array([10.0, 2.0, 0.0]), 2.0),))
-    assert gradient_overflow(fld, 1.0, 1e100, 4.0) is None
-    assert gradient_overflow(fld, 1.0, 1e300, 4.0) == "repel_gain"
+    assert gradient_overflow(fld, 1.0, 1e100, 4.0, 0.05) is None
+    assert gradient_overflow(fld, 1.0, 1e300, 4.0, 0.05) == "repel_gain"
     # no point is within an influence radius below the surface floor
-    assert gradient_overflow(fld, 1.0, 1e300, 1e-10) is None
-    assert gradient_overflow(fld, 1e300, 1.0, 4.0) == "attract_gain"
+    assert gradient_overflow(fld, 1.0, 1e300, 1e-10, 0.05) is None
+    assert gradient_overflow(fld, 1e300, 1.0, 4.0, 0.05) == "attract_gain"
+    # the largest gradient is about 5e28 long here
+    assert gradient_overflow(fld, 1.0, 50.0, 4.0, 1e200) is None
+    assert gradient_overflow(fld, 1.0, 50.0, 4.0, 1e300) == "step"
     with pytest.raises(ValueError, match="goal lies too far"):
         ObstacleField(goal=np.array([1e300, 0.0, 0.0]))
     with pytest.raises(ValueError, match="obstacle centre lies too far"):

@@ -323,6 +323,11 @@ def test_apf_plan_rejects_bad_step_and_max_steps():
     for bad in (0.0, -0.1):
         with pytest.raises(ValueError, match="step"):
             apf_plan([0.0, 0.0, 0.0], fld, step=bad)
+    for bad in (0.0, -1.0):
+        with pytest.raises(ValueError, match="influence_radius"):
+            apf_plan([0.0, 0.0, 0.0], fld, influence_radius=bad)
+    with pytest.raises(ValueError, match="step: the gradient or a step"):
+        apf_plan([0.0, 0.0, 0.0], fld, step=1e308)
     with pytest.raises(ValueError, match="max_steps"):
         apf_plan([0.0, 0.0, 0.0], fld, max_steps=-1)
     trajectory, _ = apf_plan([0.0, 0.0, 0.0], fld, max_steps=0)
