@@ -248,22 +248,29 @@ def _as_reference(path: str, given, reference) -> None:
             _as_reference(_join(path, key), given[key], value)
 
 
-def _finite_at_ends(sweep: dict, path: str, whole: str, curves) -> None:
-    """Raise ConfigError unless the arrays ``curves(d)`` are finite at both
-    ends of the ``d_min``..``d_max`` sweep; name the failing end, or
-    ``whole`` when both fail or a Python float overflows."""
+def _finite_at_ends(sweep: dict, path: str, whole: str, curves,
+                    suspects=()) -> None:
+    """Raise ConfigError naming the first array of the dict ``curves(d)``
+    not finite at an end of the ``d_min``..``d_max`` sweep, and the first
+    ``key`` of the ``(key, value)`` pairs ``suspects`` with which every
+    array of ``curves(d, key=value)`` is; else the end, or ``whole``."""
     ends = np.logspace(math.log10(sweep["d_min"]), math.log10(sweep["d_max"]),
                        2)
-    try:
-        with np.errstate(all="ignore"):
-            finite = np.isfinite(curves(ends)).all(axis=0)
-    except OverflowError:
-        finite = (False, False)
-    bad = [end for end, ok in zip(("d_min", "d_max"), finite) if not ok]
-    if bad:
-        key = whole if len(bad) == 2 else f"{path}.{bad[0]}"
-        raise ConfigError(f"{key}: received power in dB is not finite at "
-                          + " and ".join(bad))
+    def finite(**given) -> dict:
+        try:
+            with np.errstate(all="ignore"):
+                return {name: np.isfinite(values).reshape(-1, 2).all(axis=0)
+                        for name, values in curves(ends, **given).items()}
+        except OverflowError:   # a Python float of a propagation model
+            return {"received power in dB": np.array([False, False])}
+    for name, ok in finite().items():
+        if not ok.all():
+            bad = [end for end, fin in zip(("d_min", "d_max"), ok) if not fin]
+            mended = (f"{path}.{key}" for key, value in suspects
+                      if all(map(np.all, finite(**{key: value}).values())))
+            key = next(mended, whole if len(bad) == 2 else f"{path}.{bad[0]}")
+            raise ConfigError(f"{key}: {name} is not finite at "
+                              + " and ".join(bad))
 
 
 # Build steps: the library objects that span several fields.
@@ -282,14 +289,18 @@ def _wind(w: dict) -> dict:
                  (1.0, 1.0)),
             ("sample_spacing", np.array([0.0, np.pi / spacing]),
              2.0 * np.pi / spacing)):
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                values = [omega, *(psd(spec, w["component"], omega) * gain
-                                   for psd in (wind.dryden_psd,
-                                               wind.von_karman_psd))]
-        except (FloatingPointError, OverflowError):
-            values = [math.inf]
-        if not np.isfinite(values).all():
+        fine = []
+        for probe in (spec, replace(spec, length=_WIND_LENGTH)):
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    values = [omega, *(psd(probe, w["component"], omega) * gain
+                                       for psd in (wind.dryden_psd,
+                                                   wind.von_karman_psd))]
+            except (FloatingPointError, OverflowError):
+                values = [math.inf]
+            fine.append(np.isfinite(values).all())
+        if not fine[0]:
+            key = "length" if fine[1] else key
             raise ConfigError(f"wind.{key}: spectral density is not finite")
     return w
 
@@ -340,9 +351,10 @@ def _channel(c: dict) -> dict:
             channel.noise_sigma(ebn0_db)
     with _at("channel.constellation_ebn0_db"):
         channel.noise_sigma(c["constellation_ebn0_db"])
-    _finite_at_ends(c["sweep"], "channel.sweep", "channel.link", lambda d: [
-        channel.watts_to_dbm(model(c["link"], d)) for model in (
-            channel.friis_received_power, channel.two_ray_received_power)])
+    models = (channel.friis_received_power, channel.two_ray_received_power)
+    _finite_at_ends(c["sweep"], "channel.sweep", "channel.link", lambda d: {
+        "received power in dB": [channel.watts_to_dbm(model(c["link"], d))
+                                 for model in models]})
     return c
 
 
@@ -408,17 +420,18 @@ def _apf(a: dict) -> dict:
 
 def _berdist(b: dict) -> dict:
     from . import linkbudget
+    ref = dict(zip(("link", "data_rate", "noise_power_dbm"),
+                   linkbudget.reference_ber_distance_link()))
     if b["use_reference"]:
-        reference = dict(zip(("link", "data_rate", "noise_power_dbm"),
-                             linkbudget.reference_ber_distance_link()))
-        _as_reference("berdist", b, reference)
-        b.update(reference)
+        _as_reference("berdist", b, ref)
+        b.update(ref)
     _need(b, "berdist", "data_rate", "noise_power_dbm")
     with _at("berdist.noise_power_dbm"):
         linkbudget.dbm_to_watts(b["noise_power_dbm"])
-    _finite_at_ends(b, "berdist", "berdist", lambda d: list(
-        linkbudget.ber_vs_distance(b["link"], b["data_rate"],
-                                   b["noise_power_dbm"], d).values()))
+    # names the first field whose reference value mends the berdist.csv curves
+    _finite_at_ends(b, "berdist", "berdist", lambda d, **given: (
+        linkbudget.ber_vs_distance(*({**b, **given}[k] for k in ref), d)),
+        [(k, ref[k]) for k in ("data_rate", "noise_power_dbm", "link")])
     return b
 
 
@@ -449,6 +462,7 @@ _CHECKS = {"dt": (lambda dt: dt > 0, "must be > 0"),
                            (lambda n: n >= 0, "must be >= 0"))}
 _MAX_STEPS = np.iinfo(np.intp).max   # ticks of dynamics and formation
 _VEC3 = (0.0, 0.0, 0.0)
+_WIND_LENGTH = (200.0, 200.0, 50.0)   # m; a wind probe they pass names them
 
 
 def _uav():
@@ -467,7 +481,7 @@ DEFAULTS = {
         "gains": swarmlink.dynamics.PidGains(kp=4.0, kd=4.0),
         "initial_position": _VEC3, "target_position": (1.0, 0.0, 0.0)}),
     "wind": _section(lambda: {
-        "sigma": (1.0, 1.0, 1.0), "length": (200.0, 200.0, 50.0),
+        "sigma": (1.0, 1.0, 1.0), "length": _WIND_LENGTH,
         "model": swarmlink.wind.TurbulenceModel.DRYDEN, "component": "u",
         "omega_log_min": -4.0, "omega_log_max": 1.0, "n_omega": 200,
         "sample_spacing": 1.0, "n_samples": 4096}, _wind),

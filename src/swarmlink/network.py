@@ -1,20 +1,24 @@
 """Swarm network topologies, routing-vs-flooding propagation, and
 representative path planners (Dijkstra, A*, artificial potential field).
 
-Graphs are plain adjacency maps with Euclidean edge costs. Every graph,
-the swarm topologies and the A* grid alike, is built by ``_add_node``,
-``_add_edge`` and ``_mesh_in_range``, and holds only its nodes'
-positions. No result depends on the order in which a node's neighbours
-are visited, so no search sorts them. A*'s heap orders entries by
-``(f, id)``, so ties break by id, and the relaxations of one expansion
-commute. Flooding, hop counts and the connectivity check share one
-breadth-first pass, whose levels and message counts do not depend on
+Graphs are plain adjacency maps with Euclidean edge costs. Each search
+returns what it computes: ``astar`` ``(path, cost, expansions)`` and
+``route_shortest`` ``(path, cost)``, path and cost None when ``dst`` is
+unreachable; ``flood`` ``(delivered, messages, depth)`` after ``ttl``
+rounds; ``route_hops`` the hop count, -1 when unreachable.
+
+Every graph, the swarm topologies and the A* grid alike, is built by
+``_add_node``, ``_add_edge`` and ``_mesh_in_range``, and holds only its
+nodes' positions. No result depends on the order in which a node's
+neighbours are visited, so no search sorts them. A*'s heap orders
+entries by ``(f, id)``, so ties break by id, and the relaxations of one
+expansion commute. Flooding, hop counts and the connectivity check share
+one breadth-first pass, whose levels and message counts do not depend on
 which sender reaches a node first. Only outputs are sorted: ``nodes``,
-``edges``, the delivered list and the orphan list. ``edges`` is
-produced per node (:meth:`TopologyGraph.edges_by_node`): the nodes in
-sorted order, each with its later neighbours sorted. The network runner
-streams it into ``topology.json`` that way and never holds it as one
-list.
+``edges``, the delivered list and the orphan list. ``edges`` is produced
+per node (:meth:`TopologyGraph.edges_by_node`): the nodes in sorted
+order, each with its later neighbours sorted. The network runner streams
+it into ``topology.json`` that way and never holds it as one list.
 
 The ad hoc mesh is a fixed-radius range search (Bentley, CACM 1975) over
 the group's positions held as one (n, 3) array: one pass per node takes
@@ -46,12 +50,12 @@ __all__ = [
     "NodeRole",
     "TopologyGraph",
     "TopologyError",
-    "PropagationResult",
     "ObstacleField",
     "ApfOutcome",
     "GROUND_STATION_ID",
     "build_topology",
     "route_shortest",
+    "route_hops",
     "flood",
     "compare_propagation",
     "astar",
@@ -117,21 +121,6 @@ class TopologyGraph:
                 for b, cost in later]
 
 
-@dataclass
-class PropagationResult:
-    """Outcome of one routing or flooding run."""
-
-    delivered: set[str]
-    total_messages: int
-    hop_count: int
-    path: list[str] | None = None
-    cost: float | None = None
-
-    @property
-    def reached(self) -> bool:
-        return bool(self.delivered)
-
-
 def _euclid(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b))
 
@@ -169,6 +158,12 @@ def _mesh_in_range(graph: TopologyGraph, members: list[str],
             b = members[k + 1 + j]
             near[b] = cost
             adjacency[b][a] = cost
+
+
+def _check_nodes(graph: TopologyGraph, *nodes: str):
+    for node in nodes:
+        if node not in graph.roles:
+            raise ValueError(f"unknown node {node!r}")
 
 
 def _require_connected(adjacency: dict, members: list[str], context: str):
@@ -287,13 +282,10 @@ def build_topology(kind: TopologyKind, n_uavs: int, n_groups: int,
     raise ValueError(f"unknown topology kind {kind}")
 
 
-def route_shortest(graph: TopologyGraph, src: str,
-                   dst: str) -> PropagationResult:
-    """Dijkstra shortest path by edge cost; ties break by node id.
-
-    This is :func:`astar` with a zero heuristic.
-    """
-    return astar(graph, src, dst, heuristic=lambda a, b: 0.0)[0]
+def route_shortest(graph: TopologyGraph, src: str, dst: str):
+    """Dijkstra shortest path by edge cost as ``(path, cost)``; ties break
+    by node id. This is :func:`astar` with a zero heuristic."""
+    return astar(graph, src, dst, heuristic=lambda a, b: 0.0)[:2]
 
 
 def _flood_rounds(adjacency: dict, src: str):
@@ -321,40 +313,39 @@ def _flood_rounds(adjacency: dict, src: str):
     yield delivered, messages, depth
 
 
-def flood(graph: TopologyGraph, src: str, ttl: int) -> PropagationResult:
-    """Synchronous-rounds flooding with duplicate suppression.
+def flood(graph: TopologyGraph, src: str, ttl: int):
+    """Synchronous-rounds flooding with duplicate suppression; returns
+    ``(delivered, messages, depth)`` after ``ttl`` rounds.
 
     The source transmits on every incident edge; each node that first
     receives the message retransmits next round on all incident edges
     except the one it arrived on. Nodes that have already seen the
-    message drop duplicates without forwarding. ``total_messages`` counts
-    one transmission per (sender, edge) forwarding event.
-    """
-    if src not in graph.roles:
-        raise ValueError(f"unknown node {src!r}")
+    message drop duplicates without forwarding. ``messages`` counts one
+    transmission per (sender, edge) forwarding event."""
+    _check_nodes(graph, src)
     if ttl < 0:
         raise ValueError("ttl must be >= 0")
     # the state after ttl rounds, or after the last if the flood ends first
     rounds = _flood_rounds(graph.adjacency, src)
-    *_, (_, (delivered, messages, depth)) = zip(range(ttl + 1), rounds)
-    return PropagationResult(delivered=delivered, total_messages=messages,
-                             hop_count=depth)
+    *_, (_, state) = zip(range(ttl + 1), rounds)
+    return state
 
 
 def compare_propagation(graph: TopologyGraph, src: str, dst: str) -> dict:
     """Side-by-side routing vs flooding metrics for one (src, dst) pair."""
-    routed = route_shortest(graph, src, dst)
+    path, cost = route_shortest(graph, src, dst)
+    hops = len(path) - 1 if path else 0
     # flood just deep enough to reach dst (whole graph if unreachable)
     for delivered, messages, depth in _flood_rounds(graph.adjacency, src):
         if dst in delivered:
             break
     return {
         "routing": {
-            "reached": routed.reached,
-            "hops": routed.hop_count,
-            "messages": routed.total_messages,
-            "path": routed.path,
-            "cost": routed.cost,
+            "reached": path is not None,
+            "hops": hops,
+            "messages": hops,  # a route sends one message per hop
+            "path": path,
+            "cost": cost,
         },
         "flooding": {
             "reached": dst in delivered,
@@ -367,23 +358,21 @@ def compare_propagation(graph: TopologyGraph, src: str, dst: str) -> dict:
 
 def route_hops(graph: TopologyGraph, src: str, dst: str) -> int:
     """Minimum hop count between two nodes (BFS); -1 if unreachable."""
+    _check_nodes(graph, src, dst)
     for delivered, _, depth in _flood_rounds(graph.adjacency, src):
         if dst in delivered:
             return depth
     return -1
 
 
-def astar(graph: TopologyGraph, src: str, dst: str,
-          heuristic=None) -> tuple[PropagationResult, int]:
-    """A* over the graph; returns (result, node expansions).
+def astar(graph: TopologyGraph, src: str, dst: str, heuristic=None):
+    """A* over the graph; returns ``(path, cost, expansions)``, with path
+    and cost None if ``dst`` is unreachable.
 
     The default heuristic is the straight-line distance between node
     positions, which is admissible for Euclidean edge costs. A zero
-    heuristic degenerates to Dijkstra (:func:`route_shortest`).
-    """
-    for node in (src, dst):
-        if node not in graph.roles:
-            raise ValueError(f"unknown node {node!r}")
+    heuristic degenerates to Dijkstra (:func:`route_shortest`)."""
+    _check_nodes(graph, src, dst)
     if heuristic is None:
         def heuristic(a, b):
             return _euclid(graph.positions[a], graph.positions[b])
@@ -403,18 +392,14 @@ def astar(graph: TopologyGraph, src: str, dst: str,
             while path[-1] != src:
                 path.append(prev[path[-1]])
             path.reverse()
-            hops = len(path) - 1
-            return PropagationResult(delivered={dst}, total_messages=hops,
-                                     hop_count=hops, path=path,
-                                     cost=dist[dst]), expansions
+            return path, dist[dst], expansions
         for nb, cost in graph.adjacency[node].items():
             cand = dist[node] + cost
             if nb not in dist or cand < dist[nb] - 1e-15:
                 dist[nb] = cand
                 prev[nb] = node
                 heapq.heappush(heap, (cand + heuristic(nb, dst), nb))
-    return PropagationResult(delivered=set(), total_messages=0, hop_count=0,
-                             path=None, cost=None), expansions
+    return None, None, expansions
 
 
 def grid_graph(width: int, height: int, walls=()) -> TopologyGraph:

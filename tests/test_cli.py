@@ -1,6 +1,7 @@
 """CLI tests: exit codes, validation, byte-identical reruns and output
 schemas, driven through ``main()`` in-process."""
 import contextlib
+import copy
 import functools
 import io
 import json
@@ -503,6 +504,18 @@ MALFORMED = [
     ("berdist", "berdist", {"use_reference": False, "link": {
         "tx_power": 50.0, "wavelength": 0.125, "distance": -5},
         "data_rate": 1e6, "noise_power_dbm": -120.0}, "berdist.link"),
+    # each named a sweep end or another probe's field, not the one at fault
+    ("wind", "wind.length", [1e300, 200, 50], "wind.length"),
+    ("wind", "wind", {"sigma": [10, 1, 1], "length": [1e308, 200, 50]},
+     "wind.length"),
+    ("berdist", "berdist", {"use_reference": False, "data_rate": 1e-300,
+                            "noise_power_dbm": -120.0}, "berdist.data_rate"),
+    ("berdist", "berdist", {"use_reference": False, "data_rate": 1e6,
+                            "noise_power_dbm": -3200.0},
+     "berdist.noise_power_dbm"),
+    ("berdist", "berdist", {"use_reference": False, "link": {
+        "tx_power": 1e308, "wavelength": 0.125, "distance": 2000.0},
+        "data_rate": 1e6, "noise_power_dbm": -120.0}, "berdist.link"),
 ]
 
 
@@ -763,7 +776,7 @@ def _small_config(subcommand: str) -> dict:
               subcommand: json.loads(json.dumps(sections[subcommand]))}
     for field, size in SMALL_SIZES.items():
         if field.startswith(f"{subcommand}."):
-            _set(config, field, size)
+            _set(config, field, copy.deepcopy(size))
     return config
 
 
@@ -830,14 +843,27 @@ def _check_run_case(subcommand: str, path: tuple, value) -> None:
                     _assert_finite_output(output)
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
-@given(st.sampled_from(RUN_CASES))
-def test_run_fuzz_one_line_or_finite_outputs(case):
-    """One numeric field set to an extreme value: a one-line exit 2 that
-    names the field's section (validate agrees), a one-line exit 1 after a
-    passing validate, or a clean run whose every number is finite;
-    nothing escapes main, numpy RuntimeWarnings included."""
-    _check_run_case(*case)
+def test_run_fuzz_one_line_or_finite_outputs():
+    """Every case: one numeric field set to an extreme value gives a
+    one-line exit 2 that names the field's section (validate agrees), a
+    one-line exit 1 after a passing validate, or a clean run whose every
+    number is finite; nothing escapes main, numpy RuntimeWarnings
+    included."""
+    failed = []
+    for case in RUN_CASES:
+        try:
+            _check_run_case(*case)
+        except AssertionError as exc:
+            failed.append(f"{case}: {exc}")
+    assert not failed, f"{len(failed)} of {len(RUN_CASES)} cases:\n" + \
+        "\n".join(failed[:10])
+
+
+def test_run_case_leaves_the_small_config_alone():
+    """A case sets its value in its own copy: the next case of the same
+    section starts from the small config again."""
+    _check_run_case("channel", ("channel", "ebn0_db", 0), 1e308)
+    assert _small_config("channel")["channel"]["ebn0_db"] == [0, 4]
 
 
 # (subcommand, field, value): each passed validate and then exited 1 from

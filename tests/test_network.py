@@ -63,15 +63,15 @@ def test_dijkstra_equals_brute_force():
         graph = _random_graph(rng, n, p_edge=float(rng.uniform(0.2, 0.8)))
         src, dst = "u0", f"u{n - 1}"
         expect = _brute_force_shortest(graph, src, dst)
-        result = route_shortest(graph, src, dst)
+        path, cost = route_shortest(graph, src, dst)
         if expect is None:
-            assert not result.reached
+            assert path is None and cost is None
         else:
-            assert result.cost == pytest.approx(expect, rel=1e-12)
+            assert cost == pytest.approx(expect, rel=1e-12)
             # the reported path realizes the reported cost
             path_cost = sum(graph.adjacency[a][b]
-                            for a, b in zip(result.path[:-1], result.path[1:]))
-            assert path_cost == pytest.approx(result.cost)
+                            for a, b in zip(path[:-1], path[1:]))
+            assert path_cost == pytest.approx(cost)
 
 
 def test_astar_equals_dijkstra_on_grids():
@@ -82,19 +82,19 @@ def test_astar_equals_dijkstra_on_grids():
         walls.discard((0, 0))
         walls.discard((19, 19))
         graph = grid_graph(20, 20, walls)
-        a_res, expansions = astar(graph, "0,0", "19,19")
-        d_res = route_shortest(graph, "0,0", "19,19")
-        assert a_res.reached == d_res.reached
-        if d_res.reached:
-            assert a_res.cost == pytest.approx(d_res.cost, rel=1e-12)
+        a_path, a_cost, expansions = astar(graph, "0,0", "19,19")
+        d_path, d_cost = route_shortest(graph, "0,0", "19,19")
+        assert (a_path is None) == (d_path is None)
+        if d_path is not None:
+            assert a_cost == pytest.approx(d_cost, rel=1e-12)
             assert expansions <= len(graph.roles)
 
 
 def test_astar_zero_heuristic_is_dijkstra():
     graph = grid_graph(8, 8)
-    a_res, _ = astar(graph, "0,0", "7,7", heuristic=lambda a, b: 0.0)
-    d_res = route_shortest(graph, "0,0", "7,7")
-    assert a_res.cost == pytest.approx(d_res.cost)
+    _, a_cost, _ = astar(graph, "0,0", "7,7", heuristic=lambda a, b: 0.0)
+    _, d_cost = route_shortest(graph, "0,0", "7,7")
+    assert a_cost == pytest.approx(d_cost)
 
 
 def _bfs_reachable(graph, src, max_depth):
@@ -117,8 +117,8 @@ def test_flood_delivered_matches_bfs_oracle():
         n = int(rng.integers(4, 12))
         graph = _random_graph(rng, n, p_edge=0.3)
         for ttl in (0, 1, 2, n):
-            result = flood(graph, "u0", ttl)
-            assert result.delivered == _bfs_reachable(graph, "u0", ttl)
+            delivered, _, _ = flood(graph, "u0", ttl)
+            assert delivered == _bfs_reachable(graph, "u0", ttl)
 
 
 def test_flood_message_count_on_path():
@@ -134,17 +134,12 @@ def test_flood_message_count_on_path():
     for a, b in zip(ids[:-1], ids[1:]):
         adjacency[a][b] = 1.0
         adjacency[b][a] = 1.0
-    result = flood(graph, "u0", ttl=10)
-    assert result.delivered == set(ids)
-    assert result.total_messages == 4
-    assert result.hop_count == 4
+    assert flood(graph, "u0", ttl=10) == (set(ids), 4, 4)
 
 
 def test_flood_ttl_zero():
     graph = _random_graph(np.random.default_rng(3), 5, 0.5)
-    result = flood(graph, "u0", 0)
-    assert result.delivered == {"u0"}
-    assert result.total_messages == 0
+    assert flood(graph, "u0", 0) == ({"u0"}, 0, 0)
 
 
 def test_compare_propagation_star():
@@ -171,11 +166,6 @@ def _reordered(graph, rng):
                          positions=graph.positions, adjacency=adjacency)
 
 
-def _outcome(result):
-    return (result.delivered, result.total_messages, result.hop_count,
-            result.path, result.cost)
-
-
 def test_searches_do_not_depend_on_neighbour_order():
     """No search sorts neighbours, so every result must be the same
     whatever order the adjacency dicts hold; unit costs make ties."""
@@ -198,16 +188,13 @@ def test_searches_do_not_depend_on_neighbour_order():
         for _ in range(4):
             src, dst = (nodes[int(i)] for i in rng.integers(len(nodes),
                                                             size=2))
-            (a, a_expanded), (b, b_expanded) = (astar(g, src, dst)
-                                                for g in (graph, shuffled))
-            assert (_outcome(a), a_expanded) == (_outcome(b), b_expanded)
-            assert _outcome(route_shortest(graph, src, dst)) == _outcome(
-                route_shortest(shuffled, src, dst))
+            assert astar(graph, src, dst) == astar(shuffled, src, dst)
+            assert route_shortest(graph, src, dst) == route_shortest(
+                shuffled, src, dst)
             assert route_hops(graph, src, dst) == route_hops(shuffled, src,
                                                              dst)
             for ttl in (0, 1, 2, 3, len(nodes)):
-                assert _outcome(flood(graph, src, ttl)) == _outcome(
-                    flood(shuffled, src, ttl))
+                assert flood(graph, src, ttl) == flood(shuffled, src, ttl)
             assert compare_propagation(graph, src, dst) == \
                 compare_propagation(shuffled, src, dst)
 
@@ -331,7 +318,7 @@ def test_star_gs_is_single_point_of_failure():
     for nbrs in graph.adjacency.values():
         nbrs.pop(GROUND_STATION_ID, None)
     del graph.roles[GROUND_STATION_ID]
-    assert not route_shortest(graph, "u0", "u1").reached
+    assert route_shortest(graph, "u0", "u1") == (None, None)
 
 
 def test_apf_reaches_goal_in_open_space():
@@ -406,8 +393,10 @@ def test_positions_whose_distances_overflow_are_rejected():
 
 def test_route_and_flood_unknown_nodes():
     graph = _random_graph(np.random.default_rng(7), 4, 0.5)
-    with pytest.raises(ValueError):
-        route_shortest(graph, "u0", "zz")
+    for search in (route_shortest, route_hops):
+        for src, dst in (("zz", "u0"), ("u0", "zz")):
+            with pytest.raises(ValueError, match="unknown node 'zz'"):
+                search(graph, src, dst)
     with pytest.raises(ValueError):
         flood(graph, "zz", 1)
     with pytest.raises(ValueError):
