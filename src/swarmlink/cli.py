@@ -602,15 +602,14 @@ def run_optimize(scenario: dict, out: Path) -> list[Path]:
 
 
 def run_formation(scenario: dict, out: Path) -> list[Path]:
-    from . import formation, simulate
+    from . import simulate
     from .dynamics import UavState
     section = scenario["formation"]
     roles = section["roles"]
     leader_path = simulate.straight_line_leader(section["leader_start"],
                                                 section["leader_velocity"])
-    initial = {follower: UavState.at_rest(pose.position) for follower, pose
-               in formation.formation_targets(
-                   {roles.root_id: leader_path(0.0)}, roles).items()}
+    initial = {follower: UavState.at_rest(position) for follower, position
+               in zip(roles.followers, roles.targets(leader_path(0.0))[0])}
     trace = simulate.simulate_formation(
         leader_path, roles, initial, section["gains"], section["params"],
         scenario["dt"], scenario["duration"])

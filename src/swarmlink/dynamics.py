@@ -3,13 +3,12 @@ PD/PID control primitives.
 
 All functions are pure: they take value types and return new values, so they
 are safe to call from any number of threads. :func:`step_states` advances N
-bodies held as (N, 3) arrays in one pass; :func:`step_state` is the same
-code on one :class:`UavState`.
+bodies held as (N, 3) arrays in one pass, or one body held as (3,) arrays.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,11 +16,9 @@ __all__ = [
     "UavState",
     "UavParams",
     "PidGains",
-    "ControlInput",
     "normalize_angle",
     "rotor_thrust",
     "rotor_spin_dynamics",
-    "rigid_body_accel",
     "step_state",
     "step_states",
     "pid_control",
@@ -107,23 +104,6 @@ class PidGains:
             raise ValueError("ki must be >= 0")
 
 
-@dataclass(frozen=True)
-class ControlInput:
-    """Total thrust (N) plus yaw/pitch/roll moments."""
-
-    total_thrust: float
-    moments: np.ndarray = field(default_factory=lambda: np.zeros(3))
-
-    def __post_init__(self):
-        if self.total_thrust < 0:
-            raise ValueError("total_thrust must be >= 0")
-        object.__setattr__(self, "moments", _vec3(self.moments))
-
-    @classmethod
-    def hover(cls, params: UavParams) -> "ControlInput":
-        return cls(total_thrust=params.mass * params.gravity)
-
-
 def rotor_thrust(params: UavParams, omega: float) -> float:
     """Thrust of one rotor spinning at ``omega`` rad/s: k * omega**2."""
     if omega < 0:
@@ -163,17 +143,6 @@ def _linear_accels(euler: np.ndarray, thrust: np.ndarray,
     return np.array([ax, ay, az]).T
 
 
-def rigid_body_accel(state: UavState, control: ControlInput,
-                     params: UavParams):
-    """Linear and angular accelerations of the quadrotor body.
-
-    Returns ``(linear_accel, angular_accel)`` where the angular part is the
-    commanded moments applied directly to the Euler-angle accelerations.
-    """
-    return (_linear_accels(state.euler, control.total_thrust, params),
-            control.moments.copy())
-
-
 def step_states(position, velocity, euler, euler_rates, thrust, moments,
                 params: UavParams, dt: float):
     """Advance N bodies by one semi-implicit Euler step of length ``dt``.
@@ -181,8 +150,8 @@ def step_states(position, velocity, euler, euler_rates, thrust, moments,
     State arrays are (N, 3), ``thrust`` is (N,) and ``moments`` is (N, 3);
     one body may be given as (3,) arrays and a scalar thrust. Velocities
     are updated first, then positions/angles use the new velocities.
-    Returns new ``(position, velocity, euler, euler_rates)``. Rows are
-    independent: row i equals :func:`step_state` on row i.
+    The moments act directly as the Euler-angle accelerations. Returns new
+    ``(position, velocity, euler, euler_rates)``; rows are independent.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
@@ -193,18 +162,13 @@ def step_states(position, velocity, euler, euler_rates, thrust, moments,
     return position, velocity, euler, euler_rates
 
 
-def step_state(state: UavState, control: ControlInput, params: UavParams,
+# kept only for bench/inproc.py, which wraps it by name (ROADMAP item 1)
+def step_state(state: UavState, thrust, moments, params: UavParams,
                dt: float) -> UavState:
-    """Advance the state by one semi-implicit Euler step of length ``dt``.
-
-    :func:`step_states` on one body. Deterministic: identical inputs give
-    bit-identical outputs.
-    """
-    position, velocity, euler, euler_rates = step_states(
-        state.position, state.velocity, state.euler, state.euler_rates,
-        control.total_thrust, control.moments, params, dt)
-    return replace(state, position=position, velocity=velocity,
-                   euler=euler, euler_rates=euler_rates)
+    """:func:`step_states` on one :class:`UavState`."""
+    return UavState(*step_states(state.position, state.velocity, state.euler,
+                                 state.euler_rates, thrust, moments, params,
+                                 dt))
 
 
 def pid_control(error: float, error_rate: float, error_integral: float,

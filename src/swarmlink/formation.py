@@ -8,14 +8,11 @@ Role assignment is a directed tree of (leader, follower) edges; the
 movement layer turns a pose target into a thrust/moment command for the
 dynamics module.
 
-The kernels work on N followers at once: :class:`RoleGraph` holds the
-role tree as arrays, built from the one topological sort that checks it,
-and :meth:`RoleGraph.targets` fills them one depth level at a time
-through :func:`follower_targets`; :func:`movement_steps` commands every
-follower in one pass. The Pose and UavState functions (:func:`fgd_target`,
-:func:`df_target`, :func:`formation_targets`, :func:`movement_step`) run
-the same kernels on one row, for callers that hold one and as the tests'
-oracle.
+The kernels work on N followers at once, or on one given as (3,) arrays
+and scalars: :class:`RoleGraph` holds the role tree as arrays, built from
+the one topological sort that checks it, and :meth:`RoleGraph.targets`
+fills them one depth level at a time through :func:`follower_targets`;
+:func:`movement_steps` commands every follower in one pass.
 """
 from __future__ import annotations
 
@@ -26,8 +23,7 @@ from graphlib import CycleError, TopologicalSorter
 
 import numpy as np
 
-from .dynamics import (ControlInput, PidGains, UavParams, UavState,
-                       normalize_angle)
+from .dynamics import PidGains, UavParams, UavState, normalize_angle
 
 __all__ = [
     "MAX_DT",
@@ -36,8 +32,6 @@ __all__ = [
     "FormationSpec",
     "RoleGraph",
     "follower_targets",
-    "fgd_target",
-    "df_target",
     "formation_targets",
     "movement_step",
     "movement_steps",
@@ -169,6 +163,7 @@ def follower_targets(leader_positions: np.ndarray,
     copied. Returns ``(positions (N, 3), headings (N,))``; one follower
     may be given as (3,) arrays and scalars.
     """
+    df = np.asarray(df)
     c, s = np.cos(leader_headings), np.sin(leader_headings)
     ox, oy, oz = offsets.T
     rotated = np.array([c * ox - s * oy, s * ox + c * oy, oz]).T
@@ -179,30 +174,7 @@ def follower_targets(leader_positions: np.ndarray,
     return positions, headings
 
 
-def follower_target(leader: Pose, spec: FormationSpec,
-                    mode: FormationMode) -> Pose:
-    """:func:`follower_targets` on one follower whose spec has ``mode``."""
-    if spec.mode is not mode:
-        raise ValueError(f"spec mode must be {mode.name}")
-    position, heading = follower_targets(
-        leader.position, leader.heading, spec.offset, spec.relative_heading,
-        np.bool_(mode is FormationMode.DOUBLE_FIXATION))
-    return Pose(position=position, heading=heading)
-
-
-def fgd_target(leader: Pose, spec: FormationSpec) -> Pose:
-    """Fixed Global Difference target: leader position plus the constant
-    world-frame offset; heading copied from the leader."""
-    return follower_target(leader, spec, FormationMode.FIXED_GLOBAL_DIFFERENCE)
-
-
-def df_target(leader: Pose, spec: FormationSpec) -> Pose:
-    """Double Fixation target: the offset rides in the leader's frame, so
-    it is rotated about the vertical axis by the leader's heading; the
-    follower heading is fixed relative to the leader's."""
-    return follower_target(leader, spec, FormationMode.DOUBLE_FIXATION)
-
-
+# kept only for bench/inproc.py, which wraps it by name (ROADMAP item 1)
 def formation_targets(leader_poses: dict[str, Pose],
                       roles: RoleGraph) -> dict[str, Pose]:
     """Compute every follower's target pose, walking the role tree from
@@ -245,8 +217,7 @@ def movement_steps(position, velocity, euler, euler_rates,
     which a fast attitude PD loop tracks together with the target heading;
     altitude is held by a thrust PD loop. Returns ``(thrust (N,),
     moments (N, 3))``; one follower may be given as (3,) arrays and a
-    scalar heading. Rows are independent: row i equals
-    :func:`movement_step` on row i.
+    scalar heading. Rows are independent.
     """
     err = target_positions - position
     a_des = gains.kp * err - gains.kd * velocity
@@ -257,7 +228,7 @@ def movement_steps(position, velocity, euler, euler_rates,
     u = params.mass * np.maximum(az, 0.0) / np.maximum(
         np.cos(theta) * np.cos(phi), 0.5)
     denom = np.maximum(az, 1e-6)
-    # inverse of rigid_body_accel's small-angle thrust projection:
+    # inverse of the dynamics' small-angle thrust projection:
     # (ax, ay) = g * R(psi) @ (theta, -phi)
     c, s = np.cos(psi), np.sin(psi)
     theta_des = _atan2(c * a_des[..., 0] + s * a_des[..., 1], denom)
@@ -271,11 +242,11 @@ def movement_steps(position, velocity, euler, euler_rates,
     return u, moments
 
 
+# kept only for bench/inproc.py, which wraps it by name (ROADMAP item 1)
 def movement_step(current: UavState, target: Pose, gains: PidGains,
-                  params: UavParams) -> ControlInput:
-    """PD goal-seeking command toward ``target``: :func:`movement_steps`
-    on one follower."""
-    thrust, moments = movement_steps(
-        current.position, current.velocity, current.euler,
-        current.euler_rates, target.position, target.heading, gains, params)
-    return ControlInput(total_thrust=float(thrust), moments=moments)
+                  params: UavParams):
+    """:func:`movement_steps` on one :class:`UavState` toward ``target``:
+    ``(thrust, moments (3,))``."""
+    return movement_steps(current.position, current.velocity, current.euler,
+                          current.euler_rates, target.position,
+                          target.heading, gains, params)

@@ -14,10 +14,9 @@ import pytest
 from scipy.signal import welch
 
 from swarmlink import channel, linkbudget, network, swarm_opt, wind
-from swarmlink.dynamics import (ControlInput, PidGains, UavParams, UavState,
-                                rigid_body_accel, step_state)
+from swarmlink.dynamics import PidGains, UavParams, UavState, step_states
 from swarmlink.formation import (FormationMode, FormationSpec, Pose,
-                                 RoleGraph, df_target, fgd_target)
+                                 RoleGraph, follower_targets)
 from swarmlink.simulate import (simulate_formation, simulate_position_hold,
                                 straight_line_leader)
 
@@ -189,13 +188,16 @@ def test_criterion_08_ber_vs_distance(capsys):
 
 def test_criterion_09_dynamics(capsys):
     def check():
-        # hover fixed point, exact
+        # hover fixed point, exact: from rest with dt = 1.0 the new velocity
+        # and rates are the linear and angular accelerations
         state = UavState.at_rest(position=(0.0, 0.0, 5.0))
-        hover = ControlInput.hover(PARAMS)
-        lin, ang = rigid_body_accel(state, hover, PARAMS)
+        rest = (state.position, state.velocity, state.euler,
+                state.euler_rates)
+        hover, zero = PARAMS.mass * PARAMS.gravity, np.zeros(3)
+        _, lin, _, ang = step_states(*rest, hover, zero, PARAMS, 1.0)
         assert np.all(lin == 0.0) and np.all(ang == 0.0)
-        stepped = step_state(state, hover, PARAMS, 0.01)
-        assert np.array_equal(stepped.position, state.position)
+        stepped = step_states(*rest, hover, zero, PARAMS, 0.01)
+        assert np.array_equal(stepped[0], state.position)
         # PD step response to < 1% error
         gains = PidGains(kp=16.0, kd=8.0)
         target = Pose(position=np.array([1.0, 0.0, 5.0]))
@@ -204,14 +206,13 @@ def test_criterion_09_dynamics(capsys):
         assert np.linalg.norm(positions[-1] - target.position) < 0.01
         # free fall within the Euler error bound
         dt, n = 0.001, 2000
-        falling = UavState.at_rest()
+        falling = (zero,) * 4
         for _ in range(n):
-            falling = step_state(falling, ControlInput(total_thrust=0.0),
-                                 PARAMS, dt)
+            falling = step_states(*falling, 0.0, zero, PARAMS, dt)
         t = n * dt
         closed_form = -0.5 * PARAMS.gravity * t * t
         bound = 0.5 * PARAMS.gravity * t * dt  # global error of Euler
-        assert abs(falling.position[2] - closed_form) <= bound + 1e-12
+        assert abs(falling[0][2] - closed_form) <= bound + 1e-12
     _verdict(capsys, 9, "dynamics: exact hover fixed point, <1% PD step "
              "error, free fall within Euler bound", check)
 
@@ -281,20 +282,17 @@ def test_criterion_12_formation(capsys):
             heading = rng.uniform(-np.pi, np.pi)
             extra = rng.uniform(-np.pi, np.pi)
             # FGD translation equivariance
-            fgd = FormationSpec(mode=FormationMode.FIXED_GLOBAL_DIFFERENCE,
-                                offset=off)
-            a = fgd_target(Pose(position=pos, heading=heading), fgd)
-            b = fgd_target(Pose(position=pos + shift, heading=heading), fgd)
-            assert np.allclose(b.position - a.position, shift, atol=1e-9)
+            a, _ = follower_targets(pos, heading, off, 0.0, False)
+            b, _ = follower_targets(pos + shift, heading, off, 0.0, False)
+            assert np.allclose(b - a, shift, atol=1e-9)
             # DF rotation equivariance about the vertical axis
-            df = FormationSpec(mode=FormationMode.DOUBLE_FIXATION, offset=off)
-            base = df_target(Pose(position=pos, heading=heading), df)
-            rot = df_target(Pose(position=pos, heading=heading + extra), df)
-            rel = base.position - pos
+            base, _ = follower_targets(pos, heading, off, 0.0, True)
+            rot, _ = follower_targets(pos, heading + extra, off, 0.0, True)
+            rel = base - pos
             c, s = np.cos(extra), np.sin(extra)
             expect = np.array([c * rel[0] - s * rel[1],
                                s * rel[0] + c * rel[1], rel[2]])
-            assert np.allclose(rot.position - pos, expect, atol=1e-7)
+            assert np.allclose(rot - pos, expect, atol=1e-7)
         # closed-loop 3-follower FGD tracking
         offsets = {"f0": np.array([-5.0, 5.0, 0.0]),
                    "f1": np.array([-5.0, -5.0, 0.0]),

@@ -5,12 +5,27 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from swarmlink.dynamics import (ControlInput, PidGains, UavParams, UavState,
+from swarmlink.dynamics import (PidGains, UavParams, UavState,
                                 hover_rotor_speed, normalize_angle,
-                                pid_control, rigid_body_accel, rotor_thrust,
-                                rotor_spin_dynamics, step_state)
+                                pid_control, rotor_thrust,
+                                rotor_spin_dynamics, step_states)
 
 PARAMS = UavParams(mass=1.0, thrust_coeff=1e-5)
+ZERO = np.zeros(3)
+
+
+def rest(position=ZERO):
+    """One body at rest, as the (position, velocity, euler, euler_rates)
+    arrays that step_states takes."""
+    return np.asarray(position, float), ZERO, ZERO, ZERO
+
+
+def accels(euler, thrust):
+    """Linear acceleration of one body at attitude ``euler``: one
+    step_states step from rest with dt = 1.0, so the new velocity equals
+    the acceleration exactly."""
+    return step_states(ZERO, ZERO, np.asarray(euler, float), ZERO, thrust,
+                       ZERO, PARAMS, 1.0)[1]
 
 
 def test_normalize_angle_basic():
@@ -54,21 +69,19 @@ def test_rotor_spin_dynamics_signs():
 
 
 def test_hover_is_fixed_point():
-    state = UavState.at_rest(position=(1.0, 2.0, 3.0))
-    control = ControlInput.hover(PARAMS)
-    lin, ang = rigid_body_accel(state, control, PARAMS)
-    np.testing.assert_allclose(lin, 0.0, atol=1e-12)
-    np.testing.assert_allclose(ang, 0.0)
-    stepped = state
+    hover = PARAMS.mass * PARAMS.gravity
+    np.testing.assert_allclose(accels(ZERO, hover), 0.0, atol=1e-12)
+    start = rest((1.0, 2.0, 3.0))
+    stepped = start
     for _ in range(100):
-        stepped = step_state(stepped, control, PARAMS, 0.01)
-    np.testing.assert_allclose(stepped.position, state.position, atol=1e-9)
-    np.testing.assert_allclose(stepped.velocity, 0.0, atol=1e-12)
+        stepped = step_states(*stepped, hover, ZERO, PARAMS, 0.01)
+    np.testing.assert_allclose(stepped[0], start[0], atol=1e-9)
+    np.testing.assert_allclose(stepped[1], 0.0, atol=1e-12)
+    np.testing.assert_array_equal(stepped[2:], 0.0)
 
 
 def test_level_thrust_is_vertical():
-    state = UavState.at_rest()
-    lin, _ = rigid_body_accel(state, ControlInput(total_thrust=20.0), PARAMS)
+    lin = accels(ZERO, 20.0)
     np.testing.assert_allclose(lin[:2], 0.0, atol=1e-15)
     assert lin[2] == pytest.approx(20.0 / PARAMS.mass - PARAMS.gravity)
 
@@ -76,11 +89,8 @@ def test_level_thrust_is_vertical():
 def test_pitch_produces_forward_accel():
     # positive pitch at zero yaw/roll tilts the thrust onto +x
     theta = 0.2
-    state = UavState(position=np.zeros(3), velocity=np.zeros(3),
-                     euler=np.array([0.0, theta, 0.0]),
-                     euler_rates=np.zeros(3))
     u = 15.0
-    lin, _ = rigid_body_accel(state, ControlInput(total_thrust=u), PARAMS)
+    lin = accels([0.0, theta, 0.0], u)
     assert lin[0] == pytest.approx(u * math.sin(theta) / PARAMS.mass)
     assert lin[1] == pytest.approx(0.0, abs=1e-15)
     assert lin[2] == pytest.approx(u * math.cos(theta) / PARAMS.mass
@@ -89,11 +99,8 @@ def test_pitch_produces_forward_accel():
 
 def test_roll_produces_lateral_accel():
     phi = 0.2
-    state = UavState(position=np.zeros(3), velocity=np.zeros(3),
-                     euler=np.array([0.0, 0.0, phi]),
-                     euler_rates=np.zeros(3))
     u = 15.0
-    lin, _ = rigid_body_accel(state, ControlInput(total_thrust=u), PARAMS)
+    lin = accels([0.0, 0.0, phi], u)
     # at zero yaw the x-channel vanishes and y picks up -sin(phi)
     assert lin[0] == pytest.approx(0.0, abs=1e-15)
     assert lin[1] == pytest.approx(-u * math.sin(phi) / PARAMS.mass)
@@ -103,38 +110,33 @@ def test_free_fall_matches_closed_form():
     """Zero thrust from rest: semi-implicit Euler gives
     z(T) = -g*dt^2*(n*(n+1)/2), within O(dt) of -g*T^2/2."""
     dt, n = 0.001, 2000
-    state = UavState.at_rest()
-    control = ControlInput(total_thrust=0.0)
+    state = rest()
     for _ in range(n):
-        state = step_state(state, control, PARAMS, dt)
+        state = step_states(*state, 0.0, ZERO, PARAMS, dt)
     g = PARAMS.gravity
     exact_euler = -g * dt * dt * n * (n + 1) / 2.0
-    assert state.position[2] == pytest.approx(exact_euler, rel=1e-12)
+    assert state[0][2] == pytest.approx(exact_euler, rel=1e-12)
     t = n * dt
     continuous = -0.5 * g * t * t
     # global Euler error bound: |z_h - z| <= g*t*dt/2
-    assert abs(state.position[2] - continuous) <= 0.5 * g * t * dt + 1e-12
+    assert abs(state[0][2] - continuous) <= 0.5 * g * t * dt + 1e-12
 
 
-def test_step_state_semi_implicit_order():
+def test_step_states_semi_implicit_order():
     # one step: velocity updates first, position uses the new velocity
-    state = UavState.at_rest()
-    control = ControlInput(total_thrust=0.0)
-    out = step_state(state, control, PARAMS, 0.1)
-    assert out.velocity[2] == pytest.approx(-PARAMS.gravity * 0.1)
-    assert out.position[2] == pytest.approx(-PARAMS.gravity * 0.01)
+    position, velocity, _, _ = step_states(*rest(), 0.0, ZERO, PARAMS, 0.1)
+    assert velocity[2] == pytest.approx(-PARAMS.gravity * 0.1)
+    assert position[2] == pytest.approx(-PARAMS.gravity * 0.01)
 
 
-def test_step_state_deterministic():
-    state = UavState(position=np.array([1.0, -2.0, 3.0]),
-                     velocity=np.array([0.1, 0.2, -0.3]),
-                     euler=np.array([0.5, -0.2, 0.1]),
-                     euler_rates=np.array([0.01, 0.02, 0.03]))
-    control = ControlInput(total_thrust=12.0, moments=np.array([0.1, 0.2, 0.3]))
-    a = step_state(state, control, PARAMS, 0.01)
-    b = step_state(state, control, PARAMS, 0.01)
-    assert np.array_equal(a.position, b.position)
-    assert np.array_equal(a.euler, b.euler)
+def test_step_states_deterministic():
+    state = (np.array([1.0, -2.0, 3.0]), np.array([0.1, 0.2, -0.3]),
+             np.array([0.5, -0.2, 0.1]), np.array([0.01, 0.02, 0.03]))
+    moments = np.array([0.1, 0.2, 0.3])
+    a = step_states(*state, 12.0, moments, PARAMS, 0.01)
+    b = step_states(*state, 12.0, moments, PARAMS, 0.01)
+    for x, y in zip(a, b):
+        assert np.array_equal(x, y)
 
 
 def test_pid_control_terms():
@@ -151,12 +153,9 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         PidGains(kp=0.0, kd=1.0)
     with pytest.raises(ValueError):
-        ControlInput(total_thrust=-1.0)
-    with pytest.raises(ValueError):
         rotor_thrust(PARAMS, -1.0)
     with pytest.raises(ValueError):
         UavState(position=np.zeros(2), velocity=np.zeros(3),
                  euler=np.zeros(3), euler_rates=np.zeros(3))
-    state = UavState.at_rest()
     with pytest.raises(ValueError):
-        step_state(state, ControlInput.hover(PARAMS), PARAMS, 0.0)
+        step_states(*rest(), PARAMS.mass * PARAMS.gravity, ZERO, PARAMS, 0.0)

@@ -11,11 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from swarmlink import simulate
-from swarmlink.dynamics import (ControlInput, PidGains, UavParams, UavState,
+from swarmlink.dynamics import (PidGains, UavParams, UavState,
                                 normalize_angle, step_state, step_states)
 from swarmlink.formation import (MAX_DT, FormationMode, FormationSpec, Pose,
-                                 RoleGraph, df_target, fgd_target,
-                                 formation_targets, movement_step,
+                                 RoleGraph, follower_targets, movement_step,
                                  movement_steps)
 
 PARAMS = UavParams(mass=1.0, thrust_coeff=1e-5)
@@ -26,50 +25,56 @@ headings = st.floats(-math.pi, math.pi, exclude_min=True)
 coords = st.floats(-20.0, 20.0)
 
 
+def arrays_of(state: UavState):
+    """The (position, velocity, euler, euler_rates) arrays of one UAV."""
+    return state.position, state.velocity, state.euler, state.euler_rates
+
+
 def oracle_targets(root: Pose, roles: RoleGraph) -> dict:
-    """Target poses by one fgd_target/df_target call per edge, in
-    topological order, so chained offsets compose."""
-    poses = {roles.root_id: root}
+    """Target ``(position, heading)`` by one follower_targets call on one
+    row per edge, in topological order, so chained offsets compose."""
+    poses = {roles.root_id: (root.position, root.heading)}
     edge_of = {f: (leader, spec) for leader, f, spec in roles.edges}
     for f in roles.topological_followers():
         leader, spec = edge_of[f]
-        rule = (df_target if spec.mode is FormationMode.DOUBLE_FIXATION
-                else fgd_target)
-        poses[f] = rule(poses[leader], spec)
+        poses[f] = follower_targets(
+            *poses[leader], spec.offset, spec.relative_heading,
+            spec.mode is FormationMode.DOUBLE_FIXATION)
     del poses[roles.root_id]
     return poses
 
 
 def oracle_formation(leader_path, roles, initial_states, gains, params, dt,
                      duration):
-    """The per-UAV formation loop, from the public one-row functions: per
-    tick, one target per edge, then one command and one dynamics step per
+    """The per-UAV formation loop, from the kernels on one row: per tick,
+    one target per edge, then one command and one dynamics step per
     follower. Returns each follower's (n + 1, 3) positions."""
     followers = roles.topological_followers()
     n_steps = int(round(duration / dt))
     times = np.arange(n_steps + 1) * dt
-    states = dict(initial_states)
-    positions = {f: [states[f].position] for f in followers}
+    states = {f: arrays_of(initial_states[f]) for f in followers}
+    positions = {f: [states[f][0]] for f in followers}
     for k in range(n_steps):
         targets = oracle_targets(leader_path(times[k]), roles)
         for f in followers:
-            control = movement_step(states[f], targets[f], gains, params)
-            states[f] = step_state(states[f], control, params, dt)
-            positions[f].append(states[f].position)
+            command = movement_steps(*states[f], *targets[f], gains, params)
+            states[f] = step_states(*states[f], *command, params, dt)
+            positions[f].append(states[f][0])
     return {f: np.array(p) for f, p in positions.items()}
 
 
 def oracle_position_hold(initial, target, gains, params, dt, duration):
-    """The per-tick position-hold loop, from the public one-row functions:
-    one command and one dynamics step per tick on a UavState."""
+    """The per-tick position-hold loop, from the kernels on one row: one
+    command and one dynamics step per tick."""
     n_steps = int(round(duration / dt))
-    state = initial
+    state = arrays_of(initial)
     positions = np.empty((n_steps + 1, 3))
-    positions[0] = state.position
+    positions[0] = state[0]
     for k in range(n_steps):
-        control = movement_step(state, target, gains, params)
-        state = step_state(state, control, params, dt)
-        positions[k + 1] = state.position
+        command = movement_steps(*state, target.position, target.heading,
+                                 gains, params)
+        state = step_states(*state, *command, params, dt)
+        positions[k + 1] = state[0]
     return np.arange(n_steps + 1) * dt, positions
 
 
@@ -141,8 +146,8 @@ def test_deep_chain_equals_per_uav_loop():
         leader_id = f"c{k}"
     roles = RoleGraph(root_id="L", edges=tuple(edges))
     leader = turning_leader((0.0, 0.0, 10.0), (0.3, 0.1, 0.0), 3.0, 0.8)
-    states = {f: UavState.at_rest(p.position) for f, p in
-              formation_targets({"L": leader(0.0)}, roles).items()}
+    states = {f: UavState.at_rest(p) for f, p in
+              zip(roles.followers, roles.targets(leader(0.0))[0])}
     trace = simulate.simulate_formation(leader, roles, states, GAINS, PARAMS,
                                         DT, 1.0)
     for f, positions in oracle_formation(leader, roles, states, GAINS,
@@ -231,9 +236,8 @@ def test_step_states_rows_equal_step_state(rows):
                         rows["euler_rates"], rows["thrust"], rows["moments"],
                         PARAMS, DT)
     for i in range(len(rows["thrust"])):
-        one = step_state(_state(rows, i), ControlInput(
-            total_thrust=rows["thrust"][i], moments=rows["moments"][i]),
-            PARAMS, DT)
+        one = step_state(_state(rows, i), rows["thrust"][i],
+                         rows["moments"][i], PARAMS, DT)
         for got, name in zip(batch, ("position", "velocity", "euler",
                                      "euler_rates")):
             assert np.array_equal(got[i], getattr(one, name)), name
@@ -247,11 +251,11 @@ def test_movement_steps_rows_equal_movement_step(rows):
         rows["euler_rates"], rows["target_positions"],
         rows["target_headings"], GAINS, PARAMS)
     for i in range(len(thrust)):
-        one = movement_step(_state(rows, i), Pose(
+        one_thrust, one_moments = movement_step(_state(rows, i), Pose(
             position=rows["target_positions"][i],
             heading=rows["target_headings"][i]), GAINS, PARAMS)
-        assert thrust[i] == one.total_thrust
-        assert np.array_equal(moments[i], one.moments)
+        assert thrust[i] == one_thrust
+        assert np.array_equal(moments[i], one_moments)
 
 
 # The movement layer's fixed attitude PD gains and tilt limit.
@@ -345,8 +349,8 @@ def test_hold_converges_below_max_dt_and_is_rejected_at_it():
 
 def test_formation_loop_has_no_per_uav_or_per_tick_graph_work(monkeypatch):
     """Both loops run with the one-row functions disabled, build no
-    UavState or ControlInput, and sort no role graph: the graph sorts
-    once, when it is built."""
+    UavState, and sort no role graph: the graph sorts once, when it is
+    built."""
     def disabled(*args, **kwargs):
         raise AssertionError("one-row function called by the batched loop")
 
@@ -370,9 +374,8 @@ def test_formation_loop_has_no_per_uav_or_per_tick_graph_work(monkeypatch):
     states = {f: UavState.at_rest((0.0, 0.0, 10.0)) for f in ("a", "b")}
     hold_start, hold_target = UavState.at_rest(), Pose(position=(1.0, 2.0,
                                                                  3.0))
-    for cls in (UavState, ControlInput):
-        monkeypatch.setattr(cls, "__post_init__",
-                            lambda self, cls=cls: built.append(cls))
+    monkeypatch.setattr(UavState, "__post_init__",
+                        lambda self: built.append(UavState))
     counts = []
     for duration in (0.1, 2.0):
         sorts.clear()

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from swarmlink.dynamics import PidGains, UavParams, UavState
 from swarmlink.formation import (FormationMode, FormationSpec, Pose,
-                                 RoleGraph, df_target, fgd_target,
-                                 formation_targets, movement_step)
+                                 RoleGraph, follower_targets,
+                                 formation_targets, movement_steps)
 from swarmlink.simulate import (FormationTrace, simulate_formation,
                                 simulate_position_hold, straight_line_leader)
 
@@ -31,26 +31,46 @@ def _df(offset, rel_heading=0.0):
                          relative_heading=rel_heading)
 
 
+def target(position, heading, spec):
+    """follower_targets on one follower of the leader pose (position,
+    heading): ``(position (3,), heading)``."""
+    return follower_targets(np.asarray(position, float), heading,
+                            spec.offset, spec.relative_heading,
+                            spec.mode is FormationMode.DOUBLE_FIXATION)
+
+
 def test_fgd_target_hand_value():
-    leader = Pose(position=np.array([1.0, 2.0, 3.0]), heading=0.7)
-    target = fgd_target(leader, _fgd([-5.0, 5.0, 0.0]))
-    np.testing.assert_array_equal(target.position, [-4.0, 7.0, 3.0])
-    assert target.heading == pytest.approx(0.7)
+    position, heading = target([1.0, 2.0, 3.0], 0.7, _fgd([-5.0, 5.0, 0.0]))
+    np.testing.assert_array_equal(position, [-4.0, 7.0, 3.0])
+    assert heading == pytest.approx(0.7)
 
 
 def test_df_target_hand_value():
     # heading pi/2 rotates a +x offset onto +y
-    leader = Pose(position=np.zeros(3), heading=math.pi / 2)
-    target = df_target(leader, _df([2.0, 0.0, 0.0], rel_heading=0.1))
-    np.testing.assert_allclose(target.position, [0.0, 2.0, 0.0], atol=1e-12)
-    assert target.heading == pytest.approx(math.pi / 2 + 0.1)
+    position, heading = target(np.zeros(3), math.pi / 2,
+                               _df([2.0, 0.0, 0.0], rel_heading=0.1))
+    np.testing.assert_allclose(position, [0.0, 2.0, 0.0], atol=1e-12)
+    assert heading == pytest.approx(math.pi / 2 + 0.1)
 
 
 def test_df_zero_heading_equals_fgd():
-    leader = Pose(position=np.array([3.0, -1.0, 5.0]), heading=0.0)
+    leader = [3.0, -1.0, 5.0]
     off = [1.0, 2.0, -0.5]
-    np.testing.assert_allclose(df_target(leader, _df(off)).position,
-                               fgd_target(leader, _fgd(off)).position)
+    np.testing.assert_allclose(target(leader, 0.0, _df(off))[0],
+                               target(leader, 0.0, _fgd(off))[0])
+
+
+@pytest.mark.parametrize("df", [False, True, 0, 1])
+def test_follower_targets_takes_a_python_bool(df):
+    """One follower's DF flag may be a Python bool or int, as well as a
+    numpy bool; before, only np.bool_ was accepted."""
+    leader = (np.array([1.0, 2.0, 3.0]), 0.7, np.array([-5.0, 2.0, 0.5]),
+              0.5)
+    got = follower_targets(*leader, df)
+    want = follower_targets(*leader, np.bool_(df))
+    assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+    other = follower_targets(*leader, np.bool_(not df))
+    assert not np.array_equal(got[0], other[0])
 
 
 @settings(max_examples=1000, deadline=None)
@@ -58,12 +78,10 @@ def test_df_zero_heading_equals_fgd():
        st.tuples(finite, finite, finite), angles)
 def test_fgd_translation_equivariance(pos, shift, offset, heading):
     """Translating the leader translates the FGD target identically."""
-    leader = Pose(position=np.array(pos), heading=heading)
-    moved = Pose(position=leader.position + np.array(shift), heading=heading)
     spec = _fgd(offset)
     np.testing.assert_allclose(
-        fgd_target(moved, spec).position,
-        fgd_target(leader, spec).position + np.array(shift), atol=1e-9)
+        target(np.add(pos, shift), heading, spec)[0],
+        target(pos, heading, spec)[0] + np.array(shift), atol=1e-9)
 
 
 @settings(max_examples=1000, deadline=None)
@@ -73,25 +91,14 @@ def test_df_rotation_equivariance(pos, offset, heading, extra):
     """Rotating the leader heading rotates the DF offset by the same
     angle about the vertical axis, and preserves the offset length."""
     spec = _df(offset)
-    base = df_target(Pose(position=np.array(pos), heading=heading), spec)
-    rotated = df_target(Pose(position=np.array(pos),
-                             heading=heading + extra), spec)
-    rel_base = base.position - np.array(pos)
-    rel_rot = rotated.position - np.array(pos)
+    rel_base = target(pos, heading, spec)[0] - np.array(pos)
+    rel_rot = target(pos, heading + extra, spec)[0] - np.array(pos)
     c, s = math.cos(extra), math.sin(extra)
     expect = np.array([c * rel_base[0] - s * rel_base[1],
                        s * rel_base[0] + c * rel_base[1], rel_base[2]])
     np.testing.assert_allclose(rel_rot, expect, atol=1e-7)
     assert np.linalg.norm(rel_rot) == pytest.approx(
         np.linalg.norm(np.array(offset)), abs=1e-7)
-
-
-def test_mode_mismatch_raises():
-    leader = Pose(position=np.zeros(3))
-    with pytest.raises(ValueError):
-        fgd_target(leader, _df([1.0, 0.0, 0.0]))
-    with pytest.raises(ValueError):
-        df_target(leader, _fgd([1.0, 0.0, 0.0]))
 
 
 def test_role_graph_chained_targets():
@@ -116,20 +123,20 @@ def test_role_graph_validation():
         formation_targets({}, RoleGraph(root_id="L", edges=(("L", "a", spec),)))
 
 
-def test_movement_step_tilt_setpoints():
+def test_movement_steps_tilt_setpoints():
     # hovering at the target with zero error commands hover thrust
-    state = UavState.at_rest(position=(0.0, 0.0, 10.0))
-    control = movement_step(state, Pose(position=np.array([0.0, 0.0, 10.0])),
-                            GAINS, PARAMS)
-    assert control.total_thrust == pytest.approx(PARAMS.mass * PARAMS.gravity)
-    np.testing.assert_allclose(control.moments, 0.0, atol=1e-12)
+    rest = (np.array([0.0, 0.0, 10.0]), *[np.zeros(3)] * 3)
+    thrust, moments = movement_steps(*rest, np.array([0.0, 0.0, 10.0]), 0.0,
+                                     GAINS, PARAMS)
+    assert thrust == pytest.approx(PARAMS.mass * PARAMS.gravity)
+    np.testing.assert_allclose(moments, 0.0, atol=1e-12)
     # a +x error pitches the craft forward (positive pitch moment)
-    control = movement_step(state, Pose(position=np.array([1.0, 0.0, 10.0])),
-                            GAINS, PARAMS)
-    assert control.moments[1] > 0.0
+    _, moments = movement_steps(*rest, np.array([1.0, 0.0, 10.0]), 0.0,
+                                GAINS, PARAMS)
+    assert moments[1] > 0.0
     with pytest.raises(ValueError, match="dt"):
-        simulate_position_hold(state, Pose(position=np.zeros(3)), GAINS,
-                               PARAMS, dt=0.0, duration=1.0)
+        simulate_position_hold(UavState.at_rest(), Pose(position=np.zeros(3)),
+                               GAINS, PARAMS, dt=0.0, duration=1.0)
 
 
 def test_position_hold_step_response():
@@ -216,8 +223,8 @@ small = st.floats(-0.3, 0.3)
        angles, small, small,
        st.tuples(finite, finite, st.floats(-0.1, 0.1)),
        st.floats(-3.0, 3.0), angles)
-def test_movement_step_rotation_equivariance(pos, vel, yaw, pitch, roll,
-                                             step, turn, alpha):
+def test_movement_steps_rotation_equivariance(pos, vel, yaw, pitch, roll,
+                                              step, turn, alpha):
     """Rotating state and target about the vertical axis by ``alpha``
     leaves the body-frame command unchanged. The target is kept near the
     current altitude so the vertical acceleration command stays above
@@ -232,11 +239,12 @@ def test_movement_step_rotation_equivariance(pos, vel, yaw, pitch, roll,
         state = UavState(position=r(pos), velocity=r(vel),
                          euler=np.array([yaw + d_yaw, pitch, roll]),
                          euler_rates=np.array([0.1, -0.2, 0.3]))
-        target = Pose(position=r(goal), heading=yaw + turn + d_yaw)
-        return movement_step(state, target, GAINS, PARAMS)
+        goal_pose = Pose(position=r(goal), heading=yaw + turn + d_yaw)
+        return movement_steps(state.position, state.velocity, state.euler,
+                              state.euler_rates, goal_pose.position,
+                              goal_pose.heading, GAINS, PARAMS)
 
     base = command(np.asarray, 0.0)
     turned = command(rot, alpha)
-    assert turned.total_thrust == pytest.approx(base.total_thrust, rel=1e-9)
-    np.testing.assert_allclose(turned.moments, base.moments, rtol=1e-9,
-                               atol=1e-6)
+    assert turned[0] == pytest.approx(base[0], rel=1e-9)
+    np.testing.assert_allclose(turned[1], base[1], rtol=1e-9, atol=1e-6)

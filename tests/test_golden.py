@@ -1,6 +1,7 @@
 """Golden digests: the SHA-256 of every file each subcommand writes from
 ``configs/reference.json`` (default seed and ``--seed 7``; both ``--mode``
-values of ``budget`` and ``berdist``) must match
+values of ``budget`` and ``berdist``), and of the files that the variant
+configs write (:data:`_VARIANTS`), must match
 ``tests/golden/reference.sha256``.
 
 After a deliberate output change, regenerate the digest file with
@@ -29,6 +30,10 @@ GOLDEN = ROOT / "tests" / "golden" / "reference.sha256"
 _SUBCOMMANDS = ("dynamics", "wind", "optimize", "formation", "channel",
                 "budget", "berdist", "network")
 _MODAL = ("budget", "berdist")
+# configs/<name>.json and the subcommands run on it at its own seed. The
+# reference flights keep heading 0 and roll 0; variant-flight's lateral
+# target, yawed DF follower and DF chain reach the yaw and roll terms.
+_VARIANTS = {"variant-flight": ("dynamics", "formation")}
 
 
 def _versions() -> str:
@@ -37,27 +42,40 @@ def _versions() -> str:
             f"libm {libc or 'unknown'} {libc_version}".rstrip())
 
 
+def _run(digests: dict, name: str, argv: list, work: Path) -> None:
+    """Run ``argv`` into ``work/name`` and add {"<name>/<file>": sha256
+    hex} to ``digests``."""
+    out = work / name
+    argv = [*argv, "--out", str(out)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    if code != EXIT_OK:
+        raise RuntimeError(f"{argv} exited with {code}")
+    for path in sorted(out.iterdir()):
+        digests[f"{name}/{path.name}"] = hashlib.sha256(
+            path.read_bytes()).hexdigest()
+
+
 def reference_digests(work: Path) -> dict[str, str]:
-    """Run every subcommand on the reference scenario under ``work`` and
-    return {"<seed>/<run>/<file>": sha256 hex}."""
+    """Run every subcommand on the reference scenario, and the variants'
+    subcommands on theirs, under ``work`` and return
+    {"<seed or variant>/<run>/<file>": sha256 hex}."""
     digests = {}
     for seed in ("default", "7"):
         for sub in _SUBCOMMANDS:
             for mode in (("paper", "corrected") if sub in _MODAL else (None,)):
                 run = sub if mode is None else f"{sub}-{mode}"
-                out = work / seed / run
-                argv = [sub, "--config", str(CONFIG), "--out", str(out)]
+                argv = [sub, "--config", str(CONFIG)]
                 if seed != "default":
                     argv += ["--seed", seed]
                 if mode is not None:
                     argv += ["--mode", mode]
-                with contextlib.redirect_stdout(io.StringIO()):
-                    code = main(argv)
-                if code != EXIT_OK:
-                    raise RuntimeError(f"{argv} exited with {code}")
-                for path in sorted(out.iterdir()):
-                    digests[f"{seed}/{run}/{path.name}"] = hashlib.sha256(
-                        path.read_bytes()).hexdigest()
+                _run(digests, f"{seed}/{run}", argv, work)
+    for variant, subs in _VARIANTS.items():
+        config = CONFIG.with_name(f"{variant}.json")
+        for sub in subs:
+            _run(digests, f"{variant}/{sub}", [sub, "--config", str(config)],
+                 work)
     return digests
 
 
@@ -87,6 +105,8 @@ if __name__ == "__main__":
     GOLDEN.parent.mkdir(parents=True, exist_ok=True)
     lines = ["# SHA-256 of every file swarmlink writes from "
              "configs/reference.json.",
+             *(f"# {name}/: {' and '.join(subs)} on configs/{name}.json."
+               for name, subs in _VARIANTS.items()),
              "# Regenerate with: PYTHONPATH=src python tests/test_golden.py",
              f"# Taken with {_versions()}"]
     lines += [f"{digest}  {name}" for name, digest in digests.items()]
