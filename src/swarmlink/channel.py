@@ -2,7 +2,9 @@
 power, QPSK modulation/demodulation, AWGN / Rician / Rayleigh channels,
 and analytic plus Monte Carlo bit-error rates. Each random draw is seeded
 from ``FadingParams.seed``: the channel of :func:`apply_channel`, and the
-bit source and channel of :func:`ber_monte_carlo`.
+bit source and channel of :func:`ber_monte_carlo`, which shares one draw
+across an Eb/N0 grid and streams it in blocks from generator-state
+snapshots.
 """
 from __future__ import annotations
 
@@ -30,14 +32,14 @@ __all__ = [
 
 # Gray map: bit pair (b0, b1) -> (I, Q) signs, unit symbol energy.
 _QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / math.sqrt(2.0)
-_BLOCK = 1 << 16   # symbols per block of the streamed Monte Carlo
+_BLOCK = 1 << 13   # symbols per block of the streamed Monte Carlo
 
 # math.erfc over scalars or arrays, so numpy stays the only runtime
 # dependency.
 erfc = np.vectorize(math.erfc, otypes=[float])
 
 
-def watts_to_dbm(p_watts) -> float:
+def watts_to_dbm(p_watts):
     return 10.0 * np.log10(np.asarray(p_watts) / 1e-3)
 
 
@@ -132,11 +134,12 @@ def qpsk_modulate(bits) -> np.ndarray:
     Bit pairs map as (b0 -> I, b1 -> Q) with 0 -> +1/sqrt(2) and
     1 -> -1/sqrt(2), so 00 lands on (+, +). Requires an even bit count.
     """
-    bits = np.asarray(bits, dtype=int)
+    bits = np.asarray(bits)
     if bits.size % 2:
         raise ValueError("bit count must be even")
     if np.any((bits != 0) & (bits != 1)):
         raise ValueError("bits must be 0 or 1")
+    bits = bits.astype(int, copy=False)
     return _QPSK[2 * bits[0::2] + bits[1::2]]
 
 
@@ -174,12 +177,12 @@ def apply_channel(symbols, fading: FadingParams, ebn0_db: float) -> np.ndarray:
     return _receive(_complex_normal(rng, symbols.shape), h, symbols, sigma)
 
 
-def _fading_gain(rng: np.random.Generator, shape, fading: FadingParams):
+def _fading_gain(rng, shape, fading: FadingParams, imag_rng=None):
     """The complex gain per symbol; ones, and no draws, for AWGN."""
     if fading.kind is FadingKind.AWGN:
         return np.broadcast_to(1.0, shape)
     k = fading.rician_k if fading.kind is FadingKind.RICIAN else 0.0
-    h = _complex_normal(rng, shape)
+    h = _complex_normal(rng, shape, imag_rng)
     h /= math.sqrt(2.0)
     h *= math.sqrt(1.0 / (k + 1.0))
     h += math.sqrt(k / (k + 1.0))
@@ -194,12 +197,12 @@ def _receive(noise: np.ndarray, h, symbols, sigma: float) -> np.ndarray:
     return noise
 
 
-def _complex_normal(rng: np.random.Generator, shape, real=None) -> np.ndarray:
+def _complex_normal(rng, shape, imag_rng=None) -> np.ndarray:
     """``re + 1j * im`` for successive standard normal draws of ``shape``
-    (``re`` is ``real`` if given), filled in place of temporaries."""
+    (``im`` from ``imag_rng`` if given), filled in place of temporaries."""
     z = np.empty(shape, dtype=complex)
-    z.real = rng.standard_normal(shape) if real is None else real
-    z.imag = rng.standard_normal(shape)
+    z.real = rng.standard_normal(shape)
+    z.imag = (rng if imag_rng is None else imag_rng).standard_normal(shape)
     return z
 
 
@@ -240,30 +243,49 @@ def ber_qpsk_theoretical(fading: FadingParams, ebn0_db):
     return 0.5 * np.mean((1.0 + k) * s / den * np.exp(-k * g / den), axis=-1)
 
 
-def ber_monte_carlo(fading: FadingParams, ebn0_db: float,
-                    n_bits: int) -> tuple[float, int]:
+def ber_monte_carlo(fading: FadingParams, ebn0_db, n_bits: int):
     """Measure BER by transmitting ``n_bits`` random bits and deciding them
     with :func:`qpsk_demodulate`.
 
-    Returns ``(ber, n_errors)``. The bit source and the channel are seeded
-    from ``fading.seed``, so repeated runs are identical.
+    Returns ``(ber, n_errors)`` for one Eb/N0 point, or a list of them for
+    a sequence of points. The bit source and the channel are seeded from
+    ``fading.seed``, so repeated runs are identical. Every point sees the
+    same bits, gains and noise, streamed in blocks from generator-state
+    snapshots and decided at each point, so memory is one block's.
     """
     if n_bits % 2 or n_bits < 2:
         raise ValueError("n_bits must be even and >= 2")
-    sigma = noise_sigma(ebn0_db)
+    scalar = np.ndim(ebn0_db) == 0
+    sigmas = [noise_sigma(e) for e in ([ebn0_db] if scalar else ebn0_db)]
+    if not sigmas:
+        return []
     # separate, independent streams for the bit source and the channel
     bit_ss, chan_ss = np.random.SeedSequence(fading.seed).spawn(2)
     bit_rng = np.random.default_rng(bit_ss)
     rng = np.random.default_rng(int(chan_ss.generate_state(1)[0]))
-    # ziggurat normals take a varying count of raw draws, so no block can
-    # seek ahead: h and the noise's real part are drawn whole, imag per block
-    h = _fading_gain(rng, n_bits // 2, fading)
-    noise_re = rng.standard_normal(n_bits // 2)
-    n_errors = 0
-    for start in range(0, noise_re.size, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        noise = _complex_normal(rng, noise_re[block].shape, noise_re[block])
-        bits = bit_rng.integers(0, 2, size=2 * noise.size)
-        received = _receive(noise, h[block], qpsk_modulate(bits), sigma)
-        n_errors += int(np.count_nonzero(qpsk_demodulate(received) != bits))
-    return n_errors / n_bits, n_errors
+    # the channel is n normals each of h.real, h.imag (faded only),
+    # noise.real and noise.imag. Ziggurat normals take a varying count of
+    # raw draws and cannot seek, so a discard pass snapshots the generator
+    # at the start of each run but the last, which rng itself streams.
+    n = n_bits // 2
+    buf = np.empty(min(n, _BLOCK))
+    runs = []
+    for _ in range(1 if fading.kind is FadingKind.AWGN else 3):
+        runs.append(np.random.default_rng())
+        runs[-1].bit_generator.state = rng.bit_generator.state
+        for start in range(0, n, _BLOCK):
+            rng.standard_normal(out=buf[:n - start])
+    h_re, h_im, noise_re = [None, None, *runs][-3:]
+    n_errors = [0] * len(sigmas)
+    for start in range(0, n, _BLOCK):
+        size = min(_BLOCK, n - start)
+        h = _fading_gain(h_re, size, fading, h_im)
+        noise = _complex_normal(noise_re, size, rng)
+        bits = bit_rng.integers(0, 2, size=2 * size)
+        symbols = qpsk_modulate(bits)
+        for i, sigma in enumerate(sigmas):
+            received = _receive(noise.copy(), h, symbols, sigma)
+            n_errors[i] += int(np.count_nonzero(
+                qpsk_demodulate(received) != bits))
+    results = [(e / n_bits, e) for e in n_errors]
+    return results[0] if scalar else results

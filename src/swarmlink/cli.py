@@ -634,7 +634,7 @@ def run_channel(scenario: dict, out: Path) -> list[Path]:
     fading = replace(section["fading"],
                      seed=derive_seed(scenario["seed"], "channel"))
     ebn0 = section["ebn0_db"]
-    mc = [channel.ber_monte_carlo(fading, e, section["n_bits"]) for e in ebn0]
+    mc = channel.ber_monte_carlo(fading, ebn0, section["n_bits"])
     ber_path = _write_csv(
         out / "ber.csv", ["ebn0_db", "ber_theory", "ber_mc", "n_errors"],
         ebn0, [float(channel.ber_qpsk_theoretical(fading, e)) for e in ebn0],

@@ -161,6 +161,21 @@ def test_qpsk_validation():
         qpsk_modulate([0, 2])
 
 
+@pytest.mark.parametrize("bits", [[0.5, 1.7], [0, 0.5], [-1, 1],
+                                  [0.0, math.nan]])
+def test_qpsk_rejects_bits_off_zero_one_before_the_int_cast(bits):
+    with pytest.raises(ValueError, match="bits must be 0 or 1"):
+        qpsk_modulate(bits)
+
+
+def test_qpsk_accepts_bools_and_integral_floats():
+    expected = qpsk_modulate([0, 1, 1, 0])
+    np.testing.assert_array_equal(qpsk_modulate([False, True, True, False]),
+                                  expected)
+    np.testing.assert_array_equal(qpsk_modulate([0.0, 1.0, 1.0, 0.0]),
+                                  expected)
+
+
 def test_theoretical_ber_values():
     # 0.5*erfc(sqrt(Eb/N0)); spot checks
     assert ber_qpsk_awgn_theoretical(0.0) == pytest.approx(

@@ -33,7 +33,10 @@ _MODAL = ("budget", "berdist")
 # configs/<name>.json and the subcommands run on it at its own seed. The
 # reference flights keep heading 0 and roll 0; variant-flight's lateral
 # target, yawed DF follower and DF chain reach the yaw and roll terms.
-_VARIANTS = {"variant-flight": ("dynamics", "formation")}
+# variant-channel's Rician Monte Carlo spans three blocks, the last ragged,
+# at unsorted Eb/N0 points, where the reference's AWGN fits in one.
+_VARIANTS = {"variant-flight": ("dynamics", "formation"),
+             "variant-channel": ("channel",)}
 
 
 def _versions() -> str:

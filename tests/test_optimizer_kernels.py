@@ -6,6 +6,7 @@ and held every bit and channel sample at once. Outputs and generator states
 must match bit for bit, and a GWO step must draw its random numbers in one
 call."""
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -428,6 +429,46 @@ def test_streamed_monte_carlo_matches_whole_array_at_block_edges(
     result = channel.ber_monte_carlo(fading, ebn0_db, n_bits)
     assert result == reference_ber_monte_carlo(fading, ebn0_db, n_bits)
     assert type(result[0]) is float and type(result[1]) is int
+
+
+@pytest.mark.parametrize("fading", STREAMED, ids=_fading_id)
+@pytest.mark.parametrize("n_bits", [2, 2 * BLOCK - 2, 2 * BLOCK,
+                                    2 * BLOCK + 2, 4 * BLOCK + 6])
+def test_grid_of_points_matches_scalar_calls_and_whole_array(fading, n_bits):
+    """One call decides a shared draw at every point, in the given order."""
+    grid = [6.0, -3.0, 2.5, -3.0]
+    results = channel.ber_monte_carlo(fading, grid, n_bits)
+    assert results == [channel.ber_monte_carlo(fading, e, n_bits)
+                       for e in grid]
+    assert results == [reference_ber_monte_carlo(fading, e, n_bits)
+                       for e in grid]
+    assert all(type(ber) is float and type(n) is int for ber, n in results)
+
+
+def test_empty_grid_draws_nothing(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew for an empty grid")
+
+    monkeypatch.setattr(np.random, "SeedSequence", no_draws)
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    assert channel.ber_monte_carlo(STREAMED[3], [], 2 * BLOCK) == []
+
+
+def test_monte_carlo_memory_does_not_grow_with_bits():
+    """The whole-array form peaks near 100 MiB at 8M bits."""
+    fading = FadingParams(FadingKind.RAYLEIGH, seed=5)
+
+    def peak(n_bits):
+        tracemalloc.start()
+        try:
+            channel.ber_monte_carlo(fading, [0.0, 8.0], n_bits)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(500_000), peak(8_000_000)
+    assert large < 16 * 2 ** 20
+    assert large <= 1.2 * small
 
 
 @settings(max_examples=40, deadline=None)
