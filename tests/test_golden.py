@@ -35,8 +35,13 @@ _MODAL = ("budget", "berdist")
 # target, yawed DF follower and DF chain reach the yaw and roll terms.
 # variant-channel's Rician Monte Carlo spans three blocks, the last ragged,
 # at unsorted Eb/N0 points, where the reference's AWGN fits in one.
+# variant-mesh's 80 seeded UAVs mesh as one dense ad hoc group;
+# variant-layers meshes 4 groups and their masters, so its route and flood
+# cross the master layer. The reference's network is a 5-UAV star.
 _VARIANTS = {"variant-flight": ("dynamics", "formation"),
-             "variant-channel": ("channel",)}
+             "variant-channel": ("channel",),
+             "variant-mesh": ("network",),
+             "variant-layers": ("network",)}
 
 
 def _versions() -> str:
