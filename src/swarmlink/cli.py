@@ -61,21 +61,21 @@ def _write_json(path: Path, payload) -> Path:
 def _write_topology(path: Path, graph) -> Path:
     """Write ``graph``'s ``edges``, ``kind`` and ``nodes`` in the bytes
     of :func:`_write_json`, streaming the edges one node at a time."""
-    ids = {n: json.dumps(n) for n in graph.adjacency}
+    ids = [json.dumps(n) for n in graph.ids]
     tail = json.dumps({"kind": graph.kind.value, "nodes": {
-        n: graph.roles[n].value for n in graph.nodes}}, indent=2,
-        sort_keys=True)
+        n: role.value for n, role in zip(graph.ids, graph.roles)}},
+        indent=2, sort_keys=True)
     sep = "\n"
     with path.open("w") as fh:
         fh.write('{\n  "edges": [')
-        for a, later in graph.edges_by_node():
+        for a, later, costs in graph.edges_by_node():
             if later:
                 # json writes a finite float as its repr; every cost is a
                 # Python float, finite as check_positions bounds distances
                 head = f"    [\n      {ids[a]},\n      "
                 fh.write(sep + ",\n".join([
                     f"{head}{ids[b]},\n      {cost!r}\n    ]"
-                    for b, cost in later]))
+                    for b, cost in zip(later, costs)]))
                 sep = ",\n"
         # tail[2:] drops the tail's own "{\n"
         fh.write(("],\n" if sep == "\n" else "\n  ],\n") + tail[2:] + "\n")

@@ -1,31 +1,35 @@
 """Swarm network topologies, routing-vs-flooding propagation, and
 representative path planners (Dijkstra, A*, artificial potential field).
 
-Graphs are plain adjacency maps with Euclidean edge costs. Each search
-returns what it computes: ``astar`` ``(path, cost, expansions)`` and
-``route_shortest`` ``(path, cost)``, path and cost None when ``dst`` is
-unreachable; ``flood`` ``(delivered, messages, depth)`` after ``ttl``
-rounds; ``route_hops`` the hop count, -1 when unreachable.
+Graphs hold arrays (:class:`TopologyGraph`): the node ids once, in
+sorted order, so that a node's index is its id's rank; positions as one
+(n, 3) array; and for each node its neighbours' indices in ascending order
+with a parallel array of Euclidean edge costs. Each search returns what it
+computes: ``astar`` ``(path, cost, expansions)`` and ``route_shortest``
+``(path, cost)``, path and cost None when ``dst`` is unreachable;
+``flood`` ``(delivered, messages, depth)`` after ``ttl`` rounds;
+``route_hops`` the hop count, -1 when unreachable.
 
-Every graph, the swarm topologies and the A* grid alike, is built by
-``_add_node``, ``_add_edge`` and ``_mesh_in_range``, and holds only its
-nodes' positions. No result depends on the order in which a node's
-neighbours are visited, so no search sorts them. A*'s heap orders
-entries by ``(f, id)``, so ties break by id, and the relaxations of one
-expansion commute. Flooding, hop counts and the connectivity check share
-one breadth-first pass, whose levels and message counts do not depend on
-which sender reaches a node first. Only outputs are sorted: ``nodes``,
-``edges``, the delivered list and the orphan list. ``edges`` is produced
-per node (:meth:`TopologyGraph.edges_by_node`): the nodes in sorted
-order, each with its later neighbours sorted. The network runner streams
+Every graph, the swarm topologies and the A* grid alike, goes straight to
+these arrays: its edges are gathered per node, as single links
+(``_link``) and mesh rows (``_mesh_in_range``), and each node's are
+sorted once (``_assemble``). A* relaxes all the edges of one expansion in
+one array op, and its heap orders entries by ``(f, index)``, which is
+``(f, id)``, so ties break by id. Flooding, hop counts and the
+connectivity check share one breadth-first pass over a boolean frontier:
+a round's messages are the degrees of its senders, less one for each
+sender but the source (the edge it first heard on). No result depends on
+the order in which edges were given. ``edges`` is produced per node
+(:meth:`TopologyGraph.edges_by_node`): the nodes in order, each with its
+later neighbours, found by ``searchsorted``. The network runner streams
 it into ``topology.json`` that way and never holds it as one list.
 
 The ad hoc mesh is a fixed-radius range search (Bentley, CACM 1975) over
-the group's positions held as one (n, 3) array: one pass per node takes
-the distances to every later member at once, as ``sqrt(vecdot(d, d))``
-(the same bits as one ``norm(a - b)`` per pair; ``norm(d, axis=1)`` is
-not), and only the pairs in range become edges, added in the order of
-the pair loop they replace. No pair matrix is built.
+the group's positions held as one (n, 3) array: one pass per member takes
+its distances to every member at once, as ``sqrt(vecdot(d, d))`` (the same
+bits as one ``norm(a - b)`` per pair, either way round; ``norm(d,
+axis=1)`` is not), and the members in range become its neighbour row. No
+pair matrix is built.
 
 The potential field (Khatib, IJRR 1986) keeps its obstacles as a centre
 array and a radius array. The gradient measures every obstacle in one
@@ -93,48 +97,118 @@ class TopologyError(ValueError):
         self.orphans = tuple(orphans)
 
 
-@dataclass
+@dataclass(eq=False)
 class TopologyGraph:
-    """Undirected swarm network with one ground station."""
+    """Undirected swarm network with one ground station, held as arrays.
+
+    Node ``k`` is ``ids[k]``; the ids are in sorted order, so index order
+    is id order. ``roles[k]`` is its role and ``positions[k]`` its row of
+    the (n, 3) position array. ``neighbours[k]`` holds the indices of its
+    neighbours in ascending order, as int32, and ``costs[k]`` the float64
+    cost of each of those edges. ``index`` maps each id to its index.
+    Graphs come from :func:`build_topology`, :func:`grid_graph` or
+    :meth:`from_edges`."""
 
     kind: TopologyKind
-    roles: dict[str, NodeRole]
-    positions: dict[str, np.ndarray]
-    adjacency: dict[str, dict[str, float]]
+    ids: list[str]
+    roles: list[NodeRole]
+    positions: np.ndarray
+    neighbours: list[np.ndarray]
+    costs: list[np.ndarray]
+    index: dict[str, int] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.index = {n: k for k, n in enumerate(self.ids)}
+
+    @classmethod
+    def from_edges(cls, kind: TopologyKind, roles, positions, edges):
+        """The graph of the nodes of ``roles`` (id -> role) at
+        ``positions`` (id -> 3-vector), linked by ``edges``: ``(a, b,
+        cost)`` triples, one per pair."""
+        ids, pos = _nodes(roles, positions)
+        index = {n: k for k, n in enumerate(ids)}
+        links = [[] for _ in ids]
+        for a, b, cost in edges:
+            _link(links, index[a], index[b], cost)
+        return cls(kind, ids, [roles[n] for n in ids], pos, *_assemble(links))
 
     @property
     def nodes(self) -> list[str]:
-        return sorted(self.roles)
+        return list(self.ids)
+
+    @property
+    def adjacency(self) -> dict[str, np.ndarray]:
+        """Each node's id -> the index array of its neighbours."""
+        return dict(zip(self.ids, self.neighbours))
+
+    def near(self, node: str) -> dict[str, float]:
+        """The neighbours of ``node`` as id -> edge cost, in id order."""
+        k = self.index[node]
+        return dict(zip(_named(self.ids, self.neighbours[k]),
+                        self.costs[k].tolist()))
 
     def edges_by_node(self):
-        """Yield ``(a, [(b, cost), ...])`` for each node ``a`` in sorted
-        order, with its neighbours ``b > a`` in sorted order. Each pair is
-        unique, so this is ``sorted`` of every ``(a, b, cost)`` with
-        ``a < b``, one node at a time."""
-        for a in sorted(self.adjacency):
-            near = self.adjacency[a]
-            yield a, [(b, near[b]) for b in sorted(b for b in near if b > a)]
+        """Yield ``(k, later, costs)`` for each node index ``k`` in order:
+        the indices of its neighbours after it, in order, and the costs of
+        those edges, as lists. In ids this is ``sorted`` of every ``(a, b,
+        cost)`` with ``a < b``, one node at a time."""
+        for k, (near, cost) in enumerate(zip(self.neighbours, self.costs)):
+            start = int(np.searchsorted(near, k, side="right"))
+            yield k, near[start:].tolist(), cost[start:].tolist()
 
     @property
     def edges(self) -> list[tuple[str, str, float]]:
-        return [(a, b, cost) for a, later in self.edges_by_node()
-                for b, cost in later]
+        ids = self.ids
+        return [(ids[a], ids[b], cost) for a, later, costs
+                in self.edges_by_node() for b, cost in zip(later, costs)]
 
 
 def _euclid(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b))
 
 
-def _add_node(graph: TopologyGraph, node: str, role: NodeRole, position):
-    graph.roles[node] = role
-    graph.positions[node] = np.asarray(position, dtype=float)
-    graph.adjacency[node] = {}
+def _lengths(d: np.ndarray) -> np.ndarray:
+    """The length of each row of ``d``: the bits of one ``norm`` per row,
+    which ``norm(d, axis=1)`` does not give."""
+    return np.sqrt(np.vecdot(d, d))
 
 
-def _add_edge(graph: TopologyGraph, a: str, b: str):
-    cost = _euclid(graph.positions[a], graph.positions[b])
-    graph.adjacency[a][b] = cost
-    graph.adjacency[b][a] = cost
+def _named(ids: list[str], nodes: np.ndarray) -> list[str]:
+    """The ids of the node index array ``nodes``."""
+    return [ids[k] for k in nodes.tolist()]
+
+
+def _nodes(roles, positions) -> tuple[list[str], np.ndarray]:
+    """The ids of ``roles`` in sorted order and their positions as one
+    (n, 3) array."""
+    ids = sorted(roles)
+    return ids, np.array([positions[n] for n in ids],
+                         dtype=float).reshape(-1, 3)
+
+
+def _link(links: list, a: int, b: int, cost: float):
+    """Add the edge between nodes ``a`` and ``b`` to ``links``, each
+    node's list of ``(neighbour indices, costs)`` chunks."""
+    links[a].append(([b], [cost]))
+    links[b].append(([a], [cost]))
+
+
+def _assemble(links: list) -> tuple[list, list]:
+    """Each node's neighbour index array, sorted, and cost array, from its
+    chunks in ``links``. A node's chunks are dropped as its arrays are
+    made, so the two never both hold the whole graph."""
+    neighbours, costs = [], []
+    for k, chunks in enumerate(links):
+        links[k] = None
+        chunks = chunks or [((), ())]
+        near = np.concatenate([i for i, _ in chunks]).astype(np.int32,
+                                                            copy=False)
+        cost = np.concatenate([c for _, c in chunks]).astype(float,
+                                                             copy=False)
+        order = np.argsort(near)
+        neighbours.append(near[order])
+        costs.append(cost[order])
+    return neighbours, costs
 
 
 def _split_groups(uav_ids: list[str], n_groups: int) -> list[list[str]]:
@@ -145,36 +219,46 @@ def _split_groups(uav_ids: list[str], n_groups: int) -> list[list[str]]:
             for g in range(n_groups)]
 
 
-def _mesh_in_range(graph: TopologyGraph, members: list[str],
+def _mesh_in_range(positions: np.ndarray, nodes: np.ndarray,
                    link_range: float):
-    pos = np.array([graph.positions[m] for m in members])
-    adjacency = graph.adjacency
-    for k, a in enumerate(members[:-1]):
-        d = pos[k] - pos[k + 1:]
-        dist = np.sqrt(np.vecdot(d, d))
-        hits = np.flatnonzero(dist <= link_range)
-        near = adjacency[a]
-        for j, cost in zip(hits.tolist(), dist[hits].tolist()):
-            b = members[k + 1 + j]
-            near[b] = cost
-            adjacency[b][a] = cost
+    """For each of ``nodes`` (ascending node indices) at the rows of the
+    (m, 3) ``positions``: the indices of the others within ``link_range``,
+    ascending, and their distances."""
+    near, costs = [], []
+    for k in range(len(nodes)):
+        dist = _lengths(positions[k] - positions)
+        within = dist <= link_range
+        within[k] = False
+        hits = np.flatnonzero(within)
+        near.append(nodes[hits])
+        costs.append(dist[hits])
+    return near, costs
 
 
-def _check_nodes(graph: TopologyGraph, *nodes: str):
-    for node in nodes:
-        if node not in graph.roles:
-            raise ValueError(f"unknown node {node!r}")
-
-
-def _require_connected(adjacency: dict, members: list[str], context: str):
-    """Raise TopologyError naming the ``members`` that a flood over
-    ``adjacency`` from the first member does not reach."""
-    *_, (reached, _, _) = _flood_rounds(adjacency, members[0])
-    orphans = sorted(set(members) - reached)
+def _mesh(links: list, ids: list[str], positions: np.ndarray,
+          members: list[int], link_range: float, context: str):
+    """Link the ``members`` (node indices) within ``link_range`` of each
+    other. Raise TopologyError naming the members that a flood over this
+    mesh from the first member does not reach."""
+    nodes = np.sort(np.array(members, dtype=np.int32))
+    near, costs = _mesh_in_range(positions[nodes], nodes, link_range)
+    view = [nodes[:0]] * len(ids)
+    for k, nb in zip(nodes.tolist(), near):
+        view[k] = nb
+    *_, (reached, _, _) = _flood_rounds(view, members[0])
+    orphans = _named(ids, nodes[~reached[nodes]])
     if orphans:
         raise TopologyError(
             f"{context}: nodes beyond link range of any neighbor: {orphans}",
             orphans=orphans)
+    for k, nb, cost in zip(nodes.tolist(), near, costs):
+        links[k].append((nb, cost))
+
+
+def _check_nodes(graph: TopologyGraph, *nodes: str):
+    for node in nodes:
+        if node not in graph.index:
+            raise ValueError(f"unknown node {node!r}")
 
 
 def is_node(n_uavs: int, node: str) -> bool:
@@ -234,52 +318,46 @@ def build_topology(kind: TopologyKind, n_uavs: int, n_groups: int,
     check_groups(kind, n_uavs, n_groups)
     check_positions(n_uavs, positions)
     uav_ids = [f"u{i}" for i in range(n_uavs)]
-    graph = TopologyGraph(kind=kind, roles={}, positions={}, adjacency={})
-    _add_node(graph, GROUND_STATION_ID, NodeRole.GROUND_STATION,
-              positions[GROUND_STATION_ID])
+    groups = ([] if kind is TopologyKind.STAR
+              else _split_groups(uav_ids, n_groups))
+    masters = [g[0] for g in groups]
+    roles = {GROUND_STATION_ID: NodeRole.GROUND_STATION,
+             **dict.fromkeys(uav_ids, NodeRole.SLAVE_UAV),
+             **dict.fromkeys(masters, NodeRole.MASTER_UAV)}
+    ids, pos = _nodes(roles, positions)
+    index = {n: k for k, n in enumerate(ids)}
+    links = [[] for _ in ids]
+
+    def link(a: str, b: str):
+        i, j = index[a], index[b]
+        _link(links, i, j, _euclid(pos[i], pos[j]))
 
     if kind is TopologyKind.STAR:
         for u in uav_ids:
-            _add_node(graph, u, NodeRole.SLAVE_UAV, positions[u])
-            _add_edge(graph, u, GROUND_STATION_ID)
-        return graph
-
-    groups = _split_groups(uav_ids, n_groups)
-    masters = [g[0] for g in groups]
-    multi_star = kind is TopologyKind.MULTI_STAR
-    for group in groups:
-        master, slaves = group[0], group[1:]
-        _add_node(graph, master, NodeRole.MASTER_UAV, positions[master])
-        if multi_star:
-            _add_edge(graph, master, GROUND_STATION_ID)
-        for s in slaves:
-            _add_node(graph, s, NodeRole.SLAVE_UAV, positions[s])
-            if multi_star:
-                _add_edge(graph, s, master)
-        if not multi_star:
-            # so far the members of an ad hoc group link only to each other
-            _mesh_in_range(graph, group, link_range)
-            _require_connected(graph.adjacency, group, "ad hoc group")
-
-    if multi_star:
-        return graph
-    if kind in (TopologyKind.SINGLE_GROUP_AD_HOC,
-                TopologyKind.MULTI_GROUP_AD_HOC):
+            link(u, GROUND_STATION_ID)
+    elif kind is TopologyKind.MULTI_STAR:
+        for master, *slaves in groups:
+            link(master, GROUND_STATION_ID)
+            for s in slaves:
+                link(s, master)
+    else:
+        for group in groups:
+            # the members of an ad hoc group link only to each other
+            _mesh(links, ids, pos, [index[m] for m in group], link_range,
+                  "ad hoc group")
+        if kind is TopologyKind.MULTI_LAYER_AD_HOC:
+            # slaves link only inside their own group, so masters reach
+            # each other over master-master edges alone
+            _mesh(links, ids, pos, [index[m] for m in masters], link_range,
+                  "master layer")
+            masters = masters[:1]   # the one master the ground station links
+        elif kind not in (TopologyKind.SINGLE_GROUP_AD_HOC,
+                          TopologyKind.MULTI_GROUP_AD_HOC):
+            raise ValueError(f"unknown topology kind {kind}")
         for master in masters:
-            _add_edge(graph, master, GROUND_STATION_ID)
-        return graph
-
-    if kind is TopologyKind.MULTI_LAYER_AD_HOC:
-        _mesh_in_range(graph, masters, link_range)
-        # slaves link only inside their own group, so masters reach each
-        # other over master-master edges alone
-        layer = set(masters)
-        _require_connected({m: [n for n in graph.adjacency[m] if n in layer]
-                            for m in masters}, masters, "master layer")
-        _add_edge(graph, masters[0], GROUND_STATION_ID)
-        return graph
-
-    raise ValueError(f"unknown topology kind {kind}")
+            link(master, GROUND_STATION_ID)
+    return TopologyGraph(kind, ids, [roles[n] for n in ids], pos,
+                         *_assemble(links))
 
 
 def route_shortest(graph: TopologyGraph, src: str, dst: str):
@@ -288,28 +366,31 @@ def route_shortest(graph: TopologyGraph, src: str, dst: str):
     return astar(graph, src, dst, heuristic=lambda a, b: 0.0)[:2]
 
 
-def _flood_rounds(adjacency: dict, src: str):
-    """Flood from ``src`` over ``adjacency`` (node -> its neighbours) in
-    synchronous rounds; yield ``(delivered, messages, depth)`` before the
-    first round and after each round until no node forwards.
-    ``delivered`` is one set, updated in place."""
-    delivered = {src}
-    frontier: list[tuple[str, str | None]] = [(src, None)]
+def _flood_rounds(neighbours: list, src: int):
+    """Flood from node ``src`` over ``neighbours`` (node index -> index
+    array of its neighbours) in synchronous rounds; yield ``(delivered,
+    messages, depth)`` before the first round and after each round until
+    no node forwards. ``delivered`` is one boolean array over the nodes,
+    updated in place."""
+    degree = np.array([len(near) for near in neighbours])
+    delivered = np.zeros(len(neighbours), dtype=bool)
+    delivered[src] = True
+    frontier = delivered.copy()
     messages = depth = 0
-    while frontier:
+    while frontier.any():
         yield delivered, messages, depth
-        next_frontier = []
-        for sender, came_from in frontier:
-            for nb in adjacency[sender]:
-                if nb == came_from:
-                    continue
-                messages += 1
-                if nb not in delivered:
-                    delivered.add(nb)
-                    next_frontier.append((nb, sender))
-        if next_frontier:
+        senders = np.flatnonzero(frontier)
+        # each sender transmits on every edge but the one it first heard
+        # on; the source heard on none
+        messages += (int(degree[senders].sum()) - len(senders)
+                     + int(frontier[src]))
+        frontier = np.zeros_like(delivered)
+        for k in senders.tolist():
+            frontier[neighbours[k]] = True
+        frontier &= ~delivered
+        delivered |= frontier
+        if frontier.any():
             depth += 1
-        frontier = next_frontier
     yield delivered, messages, depth
 
 
@@ -326,18 +407,20 @@ def flood(graph: TopologyGraph, src: str, ttl: int):
     if ttl < 0:
         raise ValueError("ttl must be >= 0")
     # the state after ttl rounds, or after the last if the flood ends first
-    rounds = _flood_rounds(graph.adjacency, src)
-    *_, (_, state) = zip(range(ttl + 1), rounds)
-    return state
+    rounds = _flood_rounds(graph.neighbours, graph.index[src])
+    *_, (_, (delivered, messages, depth)) = zip(range(ttl + 1), rounds)
+    return set(_named(graph.ids, np.flatnonzero(delivered))), messages, depth
 
 
 def compare_propagation(graph: TopologyGraph, src: str, dst: str) -> dict:
     """Side-by-side routing vs flooding metrics for one (src, dst) pair."""
     path, cost = route_shortest(graph, src, dst)
     hops = len(path) - 1 if path else 0
+    target = graph.index[dst]
     # flood just deep enough to reach dst (whole graph if unreachable)
-    for delivered, messages, depth in _flood_rounds(graph.adjacency, src):
-        if dst in delivered:
+    for delivered, messages, depth in _flood_rounds(graph.neighbours,
+                                                    graph.index[src]):
+        if delivered[target]:
             break
     return {
         "routing": {
@@ -348,10 +431,10 @@ def compare_propagation(graph: TopologyGraph, src: str, dst: str) -> dict:
             "cost": cost,
         },
         "flooding": {
-            "reached": dst in delivered,
+            "reached": bool(delivered[target]),
             "depth": depth,
             "messages": messages,
-            "delivered": sorted(delivered),
+            "delivered": _named(graph.ids, np.flatnonzero(delivered)),
         },
     }
 
@@ -359,8 +442,10 @@ def compare_propagation(graph: TopologyGraph, src: str, dst: str) -> dict:
 def route_hops(graph: TopologyGraph, src: str, dst: str) -> int:
     """Minimum hop count between two nodes (BFS); -1 if unreachable."""
     _check_nodes(graph, src, dst)
-    for delivered, _, depth in _flood_rounds(graph.adjacency, src):
-        if dst in delivered:
+    target = graph.index[dst]
+    for delivered, _, depth in _flood_rounds(graph.neighbours,
+                                             graph.index[src]):
+        if delivered[target]:
             return depth
     return -1
 
@@ -370,35 +455,44 @@ def astar(graph: TopologyGraph, src: str, dst: str, heuristic=None):
     and cost None if ``dst`` is unreachable.
 
     The default heuristic is the straight-line distance between node
-    positions, which is admissible for Euclidean edge costs. A zero
+    positions, which is admissible for Euclidean edge costs. A given
+    ``heuristic(node, dst)`` is called once for each node. A zero
     heuristic degenerates to Dijkstra (:func:`route_shortest`)."""
     _check_nodes(graph, src, dst)
+    s, t = graph.index[src], graph.index[dst]
     if heuristic is None:
-        def heuristic(a, b):
-            return _euclid(graph.positions[a], graph.positions[b])
-    dist = {src: 0.0}
-    prev: dict[str, str] = {}
-    heap = [(heuristic(src, dst), src)]
-    done = set()
+        h = _lengths(graph.positions - graph.positions[t])
+    else:
+        h = np.array([heuristic(n, dst) for n in graph.ids], dtype=float)
+    n = len(graph.ids)
+    dist = np.full(n, np.inf)
+    dist[s] = 0.0
+    prev = [-1] * n
+    done = [False] * n
+    # heap entries are (f, node index); index order is id order
+    heap = [(float(h[s]), s)]
     expansions = 0
     while heap:
-        _, node = heapq.heappop(heap)
-        if node in done:
+        _, k = heapq.heappop(heap)
+        if done[k]:
             continue
-        done.add(node)
+        done[k] = True
         expansions += 1
-        if node == dst:
-            path = [dst]
-            while path[-1] != src:
+        if k == t:
+            path = [t]
+            while path[-1] != s:
                 path.append(prev[path[-1]])
-            path.reverse()
-            return path, dist[dst], expansions
-        for nb, cost in graph.adjacency[node].items():
-            cand = dist[node] + cost
-            if nb not in dist or cand < dist[nb] - 1e-15:
-                dist[nb] = cand
-                prev[nb] = node
-                heapq.heappush(heap, (cand + heuristic(nb, dst), nb))
+            path = [graph.ids[j] for j in reversed(path)]
+            return path, float(dist[t]), expansions
+        # relax every edge of the expansion at once
+        near = graph.neighbours[k]
+        cand = dist[k] + graph.costs[k]
+        better = cand < dist[near] - 1e-15
+        near, cand = near[better], cand[better]
+        dist[near] = cand
+        for j, f in zip(near.tolist(), (cand + h[near]).tolist()):
+            prev[j] = k
+            heapq.heappush(heap, (f, j))
     return None, None, expansions
 
 
@@ -408,15 +502,13 @@ def grid_graph(width: int, height: int, walls=()) -> TopologyGraph:
     walls = set(walls)
     cells = [(x, y) for x in range(width) for y in range(height)
              if (x, y) not in walls]
-    graph = TopologyGraph(kind=TopologyKind.SINGLE_GROUP_AD_HOC, roles={},
-                          positions={}, adjacency={})
-    for x, y in cells:
-        _add_node(graph, f"{x},{y}", NodeRole.SLAVE_UAV, (x, y, 0.0))
-    for x, y in cells:
-        for nx_, ny_ in ((x + 1, y), (x, y + 1)):
-            if nx_ < width and ny_ < height and (nx_, ny_) not in walls:
-                _add_edge(graph, f"{x},{y}", f"{nx_},{ny_}")
-    return graph
+    edges = [(f"{x},{y}", f"{nx_},{ny_}", 1.0) for x, y in cells
+             for nx_, ny_ in ((x + 1, y), (x, y + 1))
+             if nx_ < width and ny_ < height and (nx_, ny_) not in walls]
+    return TopologyGraph.from_edges(
+        TopologyKind.SINGLE_GROUP_AD_HOC,
+        {f"{x},{y}": NodeRole.SLAVE_UAV for x, y in cells},
+        {f"{x},{y}": (x, y, 0.0) for x, y in cells}, edges)
 
 
 class ApfOutcome(enum.Enum):
@@ -473,7 +565,7 @@ class ObstacleField:
         if np.any(np.abs(point) > _APF_BOUND):
             raise ValueError("start must lie inside the bounds")
         offsets = point - self.centers
-        inside = np.sqrt(np.vecdot(offsets, offsets)) <= self.radii
+        inside = _lengths(offsets) <= self.radii
         if inside.any():
             raise ValueError("start must lie outside every obstacle")
 
@@ -484,7 +576,7 @@ def _apf_gradient(point: np.ndarray, fld: ObstacleField, attract_gain: float,
     # influence radius, measured from the obstacle surface
     grad = attract_gain * (point - fld.goal)
     offsets = point - fld.centers
-    norms = np.sqrt(np.vecdot(offsets, offsets))
+    norms = _lengths(offsets)
     dist = norms - fld.radii
     dist[dist <= 0] = _SURFACE_FLOOR
     near = dist < influence_radius
@@ -504,7 +596,7 @@ def _apf_potential(points: np.ndarray, fld: ObstacleField,
     value = 0.5 * attract_gain * np.sum((points - fld.goal) ** 2, axis=1)
     for center, radius in zip(fld.centers, fld.radii):
         offsets = points - center
-        dist = np.sqrt(np.vecdot(offsets, offsets)) - radius
+        dist = _lengths(offsets) - radius
         dist[dist <= 0] = _SURFACE_FLOOR
         near = dist < influence_radius
         # float_power is libm pow, as Python's float ** 2 is; the square

@@ -316,17 +316,18 @@ def test_criterion_12_formation(capsys):
 
 def _brute_force_shortest(graph, src, dst):
     best = None
-    others = [n for n in graph.roles if n not in (src, dst)]
+    near = {a: graph.near(a) for a in graph.nodes}
+    others = [n for n in graph.nodes if n not in (src, dst)]
     for r in range(len(others) + 1):
         for mid in itertools.permutations(others, r):
             path = [src, *mid, dst]
             cost = 0.0
             ok = True
             for a, b in zip(path[:-1], path[1:]):
-                if b not in graph.adjacency[a]:
+                if b not in near[a]:
                     ok = False
                     break
-                cost += graph.adjacency[a][b]
+                cost += near[a][b]
             if ok and (best is None or cost < best):
                 best = cost
     return best
@@ -335,16 +336,12 @@ def _brute_force_shortest(graph, src, dst):
 def _random_graph(rng, n_nodes, p_edge):
     ids = [f"u{i}" for i in range(n_nodes)]
     positions = {i: rng.uniform(-10, 10, 3) for i in ids}
-    graph = network.TopologyGraph(
-        kind=network.TopologyKind.SINGLE_GROUP_AD_HOC,
-        roles={i: network.NodeRole.SLAVE_UAV for i in ids},
-        positions=positions, adjacency={i: {} for i in ids})
-    for a, b in itertools.combinations(ids, 2):
-        if rng.uniform() < p_edge:
-            cost = float(np.linalg.norm(positions[a] - positions[b]))
-            graph.adjacency[a][b] = cost
-            graph.adjacency[b][a] = cost
-    return graph
+    edges = [(a, b, float(np.linalg.norm(positions[a] - positions[b])))
+             for a, b in itertools.combinations(ids, 2)
+             if rng.uniform() < p_edge]
+    return network.TopologyGraph.from_edges(
+        network.TopologyKind.SINGLE_GROUP_AD_HOC,
+        {i: network.NodeRole.SLAVE_UAV for i in ids}, positions, edges)
 
 
 def _bfs_reachable(graph, src, max_depth):
@@ -352,7 +349,7 @@ def _bfs_reachable(graph, src, max_depth):
     frontier = [src]
     for _ in range(max_depth):
         frontier = [nb for node in frontier
-                    for nb in graph.adjacency[node]
+                    for nb in graph.near(node)
                     if nb not in seen and not seen.add(nb)]
     return seen
 
@@ -403,13 +400,14 @@ def test_criterion_13_network(capsys):
                                                positions)
             except network.TopologyError:
                 continue
-            masters = [n for n, r in graph.roles.items()
+            masters = [n for n, r in zip(graph.nodes, graph.roles)
                        if r is network.NodeRole.MASTER_UAV]
-            gs_deg = len(graph.adjacency[network.GROUND_STATION_ID])
-            for a, nbrs in graph.adjacency.items():
+            near = {a: graph.near(a) for a in graph.nodes}
+            gs_deg = len(near[network.GROUND_STATION_ID])
+            for a, nbrs in near.items():
                 for b, cost in nbrs.items():
-                    assert graph.adjacency[b][a] == cost and a != b
-            for node in graph.roles:
+                    assert near[b][a] == cost and a != b
+            for node in graph.nodes:
                 assert network.route_hops(
                     graph, node, network.GROUND_STATION_ID) >= 0
             if kind is network.TopologyKind.STAR:
@@ -419,7 +417,7 @@ def test_criterion_13_network(capsys):
             elif kind is network.TopologyKind.SINGLE_GROUP_AD_HOC:
                 assert masters == ["u0"] and gs_deg == 1
             elif kind is network.TopologyKind.MULTI_GROUP_AD_HOC:
-                assert set(graph.adjacency[network.GROUND_STATION_ID]) == \
+                assert set(near[network.GROUND_STATION_ID]) == \
                     set(masters)
             else:
                 assert len(masters) == n_groups and gs_deg == 1

@@ -25,21 +25,26 @@ def _random_graph(rng, n_nodes, p_edge=0.5):
     ids = [f"u{i}" for i in range(n_nodes)]
     roles = {i: NodeRole.SLAVE_UAV for i in ids}
     positions = {i: rng.uniform(-10, 10, 3) for i in ids}
-    adjacency = {i: {} for i in ids}
-    graph = TopologyGraph(kind=TopologyKind.SINGLE_GROUP_AD_HOC, roles=roles,
-                          positions=positions, adjacency=adjacency)
-    for a, b in itertools.combinations(ids, 2):
-        if rng.uniform() < p_edge:
-            cost = float(np.linalg.norm(positions[a] - positions[b]))
-            adjacency[a][b] = cost
-            adjacency[b][a] = cost
-    return graph
+    edges = [(a, b, float(np.linalg.norm(positions[a] - positions[b])))
+             for a, b in itertools.combinations(ids, 2)
+             if rng.uniform() < p_edge]
+    return TopologyGraph.from_edges(TopologyKind.SINGLE_GROUP_AD_HOC, roles,
+                                    positions, edges)
+
+
+def _rebuilt(graph, edges, nodes=None):
+    """A graph of ``graph``'s ``nodes`` (all, by default) and ``edges``."""
+    nodes = graph.nodes if nodes is None else nodes
+    return TopologyGraph.from_edges(
+        graph.kind, {n: graph.roles[graph.index[n]] for n in nodes},
+        {n: graph.positions[graph.index[n]] for n in nodes}, edges)
 
 
 def _brute_force_shortest(graph, src, dst):
     """Enumerate every simple path; tractable for <= 8 nodes."""
     best = None
-    nodes = list(graph.roles)
+    nodes = graph.nodes
+    near = {a: graph.near(a) for a in nodes}
     others = [n for n in nodes if n not in (src, dst)]
     for r in range(len(others) + 1):
         for mid in itertools.permutations(others, r):
@@ -47,10 +52,10 @@ def _brute_force_shortest(graph, src, dst):
             cost = 0.0
             ok = True
             for a, b in zip(path[:-1], path[1:]):
-                if b not in graph.adjacency[a]:
+                if b not in near[a]:
                     ok = False
                     break
-                cost += graph.adjacency[a][b]
+                cost += near[a][b]
             if ok and (best is None or cost < best):
                 best = cost
     return best
@@ -69,7 +74,7 @@ def test_dijkstra_equals_brute_force():
         else:
             assert cost == pytest.approx(expect, rel=1e-12)
             # the reported path realizes the reported cost
-            path_cost = sum(graph.adjacency[a][b]
+            path_cost = sum(graph.near(a)[b]
                             for a, b in zip(path[:-1], path[1:]))
             assert path_cost == pytest.approx(cost)
 
@@ -103,7 +108,7 @@ def _bfs_reachable(graph, src, max_depth):
     for _ in range(max_depth):
         nxt = []
         for node in frontier:
-            for nb in graph.adjacency[node]:
+            for nb in graph.near(node):
                 if nb not in seen:
                     seen.add(nb)
                     nxt.append(nb)
@@ -128,12 +133,9 @@ def test_flood_message_count_on_path():
     roles = {i: NodeRole.SLAVE_UAV for i in ids}
     positions = {i: np.array([float(k), 0.0, 0.0])
                  for k, i in enumerate(ids)}
-    adjacency = {i: {} for i in ids}
-    graph = TopologyGraph(kind=TopologyKind.SINGLE_GROUP_AD_HOC, roles=roles,
-                          positions=positions, adjacency=adjacency)
-    for a, b in zip(ids[:-1], ids[1:]):
-        adjacency[a][b] = 1.0
-        adjacency[b][a] = 1.0
+    graph = TopologyGraph.from_edges(
+        TopologyKind.SINGLE_GROUP_AD_HOC, roles, positions,
+        [(a, b, 1.0) for a, b in zip(ids[:-1], ids[1:])])
     assert flood(graph, "u0", ttl=10) == (set(ids), 4, 4)
 
 
@@ -151,32 +153,31 @@ def test_compare_propagation_star():
     assert out["routing"]["path"] == ["u0", GROUND_STATION_ID, "u2"]
     assert out["routing"]["hops"] == 2
     # flooding reaches every node but spends more messages than routing
-    assert set(out["flooding"]["delivered"]) == set(graph.roles)
+    assert set(out["flooding"]["delivered"]) == set(graph.ids)
     assert out["flooding"]["messages"] > out["routing"]["messages"]
 
 
 def _reordered(graph, rng):
-    """The same graph with every adjacency dict re-inserted in random
-    order."""
-    adjacency = {}
-    for a in rng.permutation(list(graph.adjacency)).tolist():
-        near = list(graph.adjacency[a].items())
-        adjacency[a] = dict(near[i] for i in rng.permutation(len(near)))
-    return TopologyGraph(kind=graph.kind, roles=graph.roles,
-                         positions=graph.positions, adjacency=adjacency)
+    """The same graph built from its nodes and edges given in random
+    order, each edge's ends swapped at random."""
+    nodes = [graph.nodes[i] for i in rng.permutation(len(graph.nodes))]
+    edges = [(b, a, cost) if swap else (a, b, cost)
+             for (a, b, cost), swap in zip(
+                 (graph.edges[i] for i in rng.permutation(len(graph.edges))),
+                 rng.integers(2, size=len(graph.edges)).tolist())]
+    return _rebuilt(graph, edges, nodes)
 
 
 def test_searches_do_not_depend_on_neighbour_order():
-    """No search sorts neighbours, so every result must be the same
-    whatever order the adjacency dicts hold; unit costs make ties."""
+    """Every result must be the same whatever order a graph's nodes and
+    edges are given in; unit costs make ties."""
     rng = np.random.default_rng(9)
     graphs = []
     for k in range(60):
         graph = _random_graph(rng, int(rng.integers(2, 16)),
                               p_edge=float(rng.uniform(0.1, 0.6)))
         if k % 2:
-            for near in graph.adjacency.values():
-                near.update(dict.fromkeys(near, 1.0))
+            graph = _rebuilt(graph, [(a, b, 1.0) for a, b, _ in graph.edges])
         graphs.append(graph)
     for _ in range(20):
         walls = rng.integers(0, 8, size=(int(rng.integers(0, 16)), 2))
@@ -200,17 +201,18 @@ def test_searches_do_not_depend_on_neighbour_order():
 
 
 def _check_invariants(kind, graph, n_uavs, n_groups):
-    roles = graph.roles
+    roles = dict(zip(graph.nodes, graph.roles))
+    near = {a: graph.near(a) for a in graph.nodes}
     assert roles[GROUND_STATION_ID] is NodeRole.GROUND_STATION
     assert sum(1 for r in roles.values()
                if r is NodeRole.GROUND_STATION) == 1
     assert len(roles) == n_uavs + 1
-    gs_degree = len(graph.adjacency[GROUND_STATION_ID])
+    gs_degree = len(near[GROUND_STATION_ID])
     masters = [n for n, r in roles.items() if r is NodeRole.MASTER_UAV]
     # symmetric adjacency with positive costs
-    for a, nbrs in graph.adjacency.items():
+    for a, nbrs in near.items():
         for b, cost in nbrs.items():
-            assert graph.adjacency[b][a] == cost
+            assert near[b][a] == cost
             assert cost >= 0.0
             assert a != b
     # every node can reach the ground station
@@ -222,22 +224,22 @@ def _check_invariants(kind, graph, n_uavs, n_groups):
         assert gs_degree == n_uavs
         for n, r in roles.items():
             if r is NodeRole.SLAVE_UAV:
-                assert set(graph.adjacency[n]) == {GROUND_STATION_ID}
+                assert set(near[n]) == {GROUND_STATION_ID}
     elif kind is TopologyKind.MULTI_STAR:
         assert len(masters) == n_groups
         assert gs_degree == n_groups
         for n, r in roles.items():
             if r is NodeRole.SLAVE_UAV:
-                nbrs = set(graph.adjacency[n])
+                nbrs = set(near[n])
                 assert len(nbrs) == 1 and nbrs <= set(masters)
     elif kind is TopologyKind.SINGLE_GROUP_AD_HOC:
         assert masters == ["u0"]
         assert gs_degree == 1
-        assert GROUND_STATION_ID in graph.adjacency["u0"]
+        assert GROUND_STATION_ID in near["u0"]
     elif kind is TopologyKind.MULTI_GROUP_AD_HOC:
         assert len(masters) == n_groups
         assert gs_degree == n_groups
-        assert set(graph.adjacency[GROUND_STATION_ID]) == set(masters)
+        assert set(near[GROUND_STATION_ID]) == set(masters)
     elif kind is TopologyKind.MULTI_LAYER_AD_HOC:
         assert len(masters) == n_groups
         assert gs_degree == 1
@@ -295,18 +297,18 @@ def test_graphs_hold_only_their_nodes_positions():
                  "relay": (5, 5, 5)}
     for kind in TopologyKind:
         graph = build_topology(kind, 1, 1, 10.0, positions)
-        assert graph.positions.keys() == graph.roles.keys() == {
-            GROUND_STATION_ID, "u0"}
+        assert set(graph.ids) == {GROUND_STATION_ID, "u0"}
+        assert graph.positions.shape == (len(graph.roles), 3) == (2, 3)
 
 
 def test_grid_graph_links_open_neighbours():
     grid = grid_graph(3, 2, walls={(1, 1)})
     assert grid.edges == [("0,0", "0,1", 1.0), ("0,0", "1,0", 1.0),
                           ("1,0", "2,0", 1.0), ("2,0", "2,1", 1.0)]
-    assert grid.positions.keys() == grid.roles.keys() == {
-        "0,0", "0,1", "1,0", "2,0", "2,1"}
-    assert grid.positions["2,1"].tolist() == [2.0, 1.0, 0.0]
-    assert set(grid.roles.values()) == {NodeRole.SLAVE_UAV}
+    assert grid.ids == ["0,0", "0,1", "1,0", "2,0", "2,1"]
+    assert grid.positions.shape == (len(grid.roles), 3) == (5, 3)
+    assert grid.positions[grid.index["2,1"]].tolist() == [2.0, 1.0, 0.0]
+    assert set(grid.roles) == {NodeRole.SLAVE_UAV}
 
 
 def test_star_gs_is_single_point_of_failure():
@@ -314,10 +316,9 @@ def test_star_gs_is_single_point_of_failure():
     graph = build_topology(TopologyKind.STAR, 4, 1, 100.0,
                            _random_positions(rng, 4, spread=10.0))
     # removing gs disconnects every pair of UAVs
-    del graph.adjacency[GROUND_STATION_ID]
-    for nbrs in graph.adjacency.values():
-        nbrs.pop(GROUND_STATION_ID, None)
-    del graph.roles[GROUND_STATION_ID]
+    graph = _rebuilt(graph, [e for e in graph.edges
+                             if GROUND_STATION_ID not in e[:2]],
+                     [n for n in graph.nodes if n != GROUND_STATION_ID])
     assert route_shortest(graph, "u0", "u1") == (None, None)
 
 

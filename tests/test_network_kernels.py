@@ -4,6 +4,7 @@ independent graph oracle, and a structural guard that building a mesh does
 no per-pair Python work."""
 import itertools
 import json
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -14,20 +15,26 @@ from hypothesis import assume, example, given, settings, strategies as st
 from swarmlink import cli, network
 from swarmlink.network import (GROUND_STATION_ID, ObstacleField,
                                TopologyError, TopologyKind, apf_plan,
-                               build_topology, route_hops, route_shortest)
+                               build_topology, flood, grid_graph, route_hops,
+                               route_shortest)
 
 REPO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "reference.json"
 
 
 # ------------------------------------------------------ reference loops
 
-def reference_mesh_in_range(graph, members, link_range):
+def reference_mesh_in_range(positions, nodes, link_range):
     """The pair loop: one norm per pair, in combinations order."""
-    for a, b in itertools.combinations(members, 2):
-        cost = float(np.linalg.norm(graph.positions[a] - graph.positions[b]))
+    near = [[] for _ in nodes]
+    costs = [[] for _ in nodes]
+    for i, j in itertools.combinations(range(len(nodes)), 2):
+        cost = float(np.linalg.norm(positions[i] - positions[j]))
         if cost <= link_range:
-            graph.adjacency[a][b] = cost
-            graph.adjacency[b][a] = cost
+            near[i].append(nodes[j])
+            costs[i].append(cost)
+            near[j].append(nodes[i])
+            costs[j].append(cost)
+    return near, costs
 
 
 def reference_gradient(point, fld, attract_gain, repel_gain,
@@ -65,9 +72,9 @@ def bits(x):
 
 
 def adjacency_bits(graph):
-    """Every node's neighbours in insertion order, costs as bit patterns."""
-    return {a: [(b, bits(c)) for b, c in near.items()]
-            for a, near in graph.adjacency.items()}
+    """Every node's neighbours in order, costs as bit patterns."""
+    return {a: [(b, bits(c)) for b, c in graph.near(a).items()]
+            for a in graph.nodes}
 
 
 # ---------------------------------------------------------------- mesh
@@ -133,10 +140,10 @@ def test_pairs_at_exactly_link_range_and_duplicates_are_linked():
                  "u3": np.array([3.0, 4.0, 15.0])}     # 5 m above u1
     graph = build_topology(TopologyKind.SINGLE_GROUP_AD_HOC, 4, 1, 5.0,
                            positions)
-    assert graph.adjacency["u0"] == {"u1": 5.0, "u2": 5.0,
-                                     GROUND_STATION_ID: 10.0}
-    assert graph.adjacency["u1"]["u2"] == 0.0
-    assert graph.adjacency["u3"] == {"u1": 5.0, "u2": 5.0}
+    assert graph.near("u0") == {"u1": 5.0, "u2": 5.0,
+                                GROUND_STATION_ID: 10.0}
+    assert graph.near("u1")["u2"] == 0.0
+    assert graph.near("u3") == {"u1": 5.0, "u2": 5.0}
 
 
 @pytest.fixture(scope="module")
@@ -147,7 +154,7 @@ def nx():
 
 def nx_graph(nx, graph):
     g = nx.Graph()
-    g.add_nodes_from(graph.roles)
+    g.add_nodes_from(graph.nodes)
     g.add_weighted_edges_from(graph.edges)
     return g
 
@@ -232,6 +239,52 @@ def test_routes_equal_networkx(nx, kind, n_uavs, n_groups, seed):
             nx.dijkstra_path_length(g, src, dst), rel=1e-12, abs=0.0)
         assert route_hops(graph, src, dst) == nx.shortest_path_length(
             g, src, dst)
+
+
+def flood_cases():
+    """Ad hoc and multi-layer swarms that build, and walled grids, some of
+    them split."""
+    rng = np.random.default_rng(25)
+    cases = []
+    while len(cases) < 12:
+        kind = AD_HOC[len(cases) % 3]
+        n_uavs = int(rng.integers(2, 40))
+        n_groups = (1 if kind is TopologyKind.SINGLE_GROUP_AD_HOC
+                    else int(rng.integers(1, min(n_uavs, 4) + 1)))
+        positions = {f"u{i}": rng.uniform(-30.0, 30.0, 3)
+                     for i in range(n_uavs)}
+        positions[GROUND_STATION_ID] = np.zeros(3)
+        try:
+            cases.append(build_topology(kind, n_uavs, n_groups, 35.0,
+                                        positions))
+        except TopologyError:
+            pass
+    for _ in range(6):
+        walls = rng.integers(0, 9, size=(int(rng.integers(0, 30)), 2))
+        cases.append(grid_graph(9, 9, map(tuple, walls.tolist())))
+    return cases
+
+
+def test_flood_equals_networkx_ball_at_every_ttl(nx):
+    """After ``ttl`` rounds the flood has delivered the ball of radius
+    ``ttl`` around the source, at the depth of its farthest node, and every
+    node within ``ttl - 1`` hops has sent on each edge but the one it
+    first heard on."""
+    rng = np.random.default_rng(26)
+    for graph in flood_cases():
+        g = nx_graph(nx, graph)
+        for src in (graph.nodes[int(i)] for i in rng.integers(
+                len(graph.nodes), size=3)):
+            hops = nx.single_source_shortest_path_length(g, src)
+            eccentricity = max(hops.values())
+            for ttl in range(eccentricity + 2):
+                delivered, messages, depth = flood(graph, src, ttl)
+                assert delivered == set(nx.single_source_shortest_path_length(
+                    g, src, cutoff=ttl))
+                assert depth == min(ttl, eccentricity)
+                senders = [v for v, d in hops.items() if d < ttl]
+                assert messages == (sum(g.degree(v) for v in senders)
+                                    - sum(hops[v] > 0 for v in senders))
 
 
 # ----------------------------------------------------------------- APF
@@ -353,6 +406,25 @@ def test_mesh_build_has_no_per_pair_python_work(monkeypatch, n_uavs):
                            100.0, positions)
     assert len(graph.edges) == n_uavs * (n_uavs - 1) // 2 + 1
     assert len(calls) <= 1   # the ground-station link
+
+
+def test_dense_mesh_builds_in_little_memory():
+    """A 600-UAV mesh with about 165,000 edges holds each node id once and
+    each edge as one index and one float per end: about 4 MB, where a map
+    of maps with a boxed float per edge took 11.5 MB."""
+    rng = np.random.default_rng(600)
+    positions = {f"u{i}": rng.uniform(0.0, 100.0, 3) for i in range(600)}
+    positions[GROUND_STATION_ID] = np.zeros(3)
+    tracemalloc.start()
+    try:
+        graph = build_topology(TopologyKind.SINGLE_GROUP_AD_HOC, 600, 1,
+                               100.0, positions)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    edges = sum(len(near) for near in graph.adjacency.values()) // 2
+    assert edges > 150_000
+    assert peak < 6 * 2 ** 20, peak
 
 
 def test_run_network_evaluates_the_potential_once(monkeypatch, tmp_path):

@@ -43,9 +43,9 @@ def reference_topology(path: Path, graph) -> Path:
     ``_write_json``, from one sorted list of every edge."""
     return reference_json(path, {
         "kind": graph.kind.value,
-        "nodes": {n: graph.roles[n].value for n in graph.nodes},
-        "edges": sorted((a, b, cost) for a, near in graph.adjacency.items()
-                        for b, cost in near.items() if a < b)})
+        "nodes": {n: role.value for n, role in zip(graph.nodes, graph.roles)},
+        "edges": sorted((a, b, cost) for a in graph.nodes
+                        for b, cost in graph.near(a).items() if a < b)})
 
 
 def written(writer, *args) -> bytes:
