@@ -38,10 +38,16 @@ _MODAL = ("budget", "berdist")
 # variant-mesh's 80 seeded UAVs mesh as one dense ad hoc group;
 # variant-layers meshes 4 groups and their masters, so its route and flood
 # cross the master layer. The reference's network is a 5-UAV star.
+# variant-gwo, variant-wind and variant-rayleigh reach GWO's ``a`` schedule
+# on rastrigin, the transverse Von Karman density and Rayleigh fading, where
+# the reference runs PSO on sphere, the longitudinal Dryden density and AWGN.
 _VARIANTS = {"variant-flight": ("dynamics", "formation"),
              "variant-channel": ("channel",),
              "variant-mesh": ("network",),
-             "variant-layers": ("network",)}
+             "variant-layers": ("network",),
+             "variant-gwo": ("optimize",),
+             "variant-wind": ("wind",),
+             "variant-rayleigh": ("channel",)}
 
 
 def _versions() -> str:
