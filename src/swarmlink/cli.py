@@ -111,8 +111,11 @@ def _load_config(path: str, seed: int | None = None):
 #                          applied with replace() so the class checks them
 #   function               a parser: sections, arrays and maps
 # _CHECKS holds the constraints that no library type checks. A section's
-# schema is built, and its library module imported, only when the config
-# holds the section.
+# build step builds the objects that span several fields and evaluates its
+# models at the ends of their ranges; when a value is not finite, _section
+# names the field whose default mends the section, else the section. A
+# section's schema is built, and its library module imported, only when
+# the config holds the section.
 
 _ABSENT = object()   # a field the config does not give
 _JSON_TYPES = {bool: ("boolean", (bool,)), int: ("integer", (int,)),
@@ -196,13 +199,45 @@ def _merge(value, schema, path: str, unknown: list):
 
 def _section(schema, build=lambda section: section):
     """An object passed to ``build``, None when left out; ``schema()``
-    builds its schema only when the config holds it."""
+    builds its schema only when the config holds it. ``build`` runs with
+    numpy errors raised but underflow; when it raises ArithmeticError, the
+    error names the first given field, in schema order, whose value in the
+    built default section lets ``build`` pass, else the section."""
+    def built(section, path):
+        with _at(path), np.errstate(all="raise", under="ignore"):
+            return build({**section})
+
     def parse(value, path, unknown):
         if value is _ABSENT:
             return None
-        with _at(path):
-            return build(_object(value, schema(), path, unknown))
+        fields = schema()
+        section = _object(value, fields, path, unknown)
+        try:
+            return built(section, path)
+        except ArithmeticError:
+            default = built(_object({}, fields, path, []), path)
+        for name, reset in _resets(section, default, value):
+            with contextlib.suppress(ArithmeticError, ValueError):
+                built(reset, path)
+                path = f"{path}.{name}"
+                break
+        raise ConfigError(f"{path}: a value of the model is not finite at "
+                          "the ends of its ranges")
     return parse
+
+
+def _resets(section: dict, default: dict, given: dict):
+    """(field, ``section`` with that field set to its ``default`` value)
+    for each field of ``given`` in the section's order; each key in turn
+    for a field whose default is an object."""
+    for key in (key for key in section if key in given):
+        if isinstance(default[key], dict):
+            for sub, reset in default[key].items():
+                if sub in given[key]:
+                    yield f"{key}.{sub}", {**section,
+                                           key: {**section[key], sub: reset}}
+        else:
+            yield key, {**section, key: default[key]}
 
 
 def _many(item, default=_ABSENT, keyed=False):
@@ -248,60 +283,28 @@ def _as_reference(path: str, given, reference) -> None:
             _as_reference(_join(path, key), given[key], value)
 
 
-def _finite_at_ends(sweep: dict, path: str, whole: str, curves,
-                    suspects=()) -> None:
-    """Raise ConfigError naming the first array of the dict ``curves(d)``
-    not finite at an end of the ``d_min``..``d_max`` sweep, and the first
-    ``key`` of the ``(key, value)`` pairs ``suspects`` with which every
-    array of ``curves(d, key=value)`` is; else the end, or ``whole``."""
-    ends = np.logspace(math.log10(sweep["d_min"]), math.log10(sweep["d_max"]),
-                       2)
-    def finite(**given) -> dict:
-        try:
-            with np.errstate(all="ignore"):
-                return {name: np.isfinite(values).reshape(-1, 2).all(axis=0)
-                        for name, values in curves(ends, **given).items()}
-        except OverflowError:   # a Python float of a propagation model
-            return {"received power in dB": np.array([False, False])}
-    for name, ok in finite().items():
-        if not ok.all():
-            bad = [end for end, fin in zip(("d_min", "d_max"), ok) if not fin]
-            mended = (f"{path}.{key}" for key, value in suspects
-                      if all(map(np.all, finite(**{key: value}).values())))
-            key = next(mended, whole if len(bad) == 2 else f"{path}.{bad[0]}")
-            raise ConfigError(f"{key}: {name} is not finite at "
-                              + " and ".join(bad))
+def _finite(*values) -> None:
+    """Raise FloatingPointError unless every value is finite."""
+    if not all(np.isfinite(value).all() for value in values):
+        raise FloatingPointError("a value is not finite")
 
 
-# Build steps: the library objects that span several fields.
+# Build steps: the library objects that span several fields, and the
+# models at the ends of their ranges (see _section).
 def _wind(w: dict) -> dict:
     from . import wind
     spec = w["spec"] = wind.TurbulenceSpec(w["sigma"], w["length"], w["model"])
-    spec.params_for(w["component"])
     spacing = w["sample_spacing"]
-    with np.errstate(all="ignore"):
-        ends = np.logspace(w["omega_log_min"], w["omega_log_max"], 2)
-    # both densities with numpy overflow raised: at omega = 0 (sigma**2 *
-    # length / pi), at the grid's ends, and times the synthesis gain
-    for key, omega, gain in (
-            ("sigma", 0.0, 1.0),
-            *zip(("omega_log_min", "omega_log_max"), ends[:w["n_omega"]],
-                 (1.0, 1.0)),
-            ("sample_spacing", np.array([0.0, np.pi / spacing]),
-             2.0 * np.pi / spacing)):
-        fine = []
-        for probe in (spec, replace(spec, length=_WIND_LENGTH)):
-            try:
-                with np.errstate(over="raise", invalid="raise"):
-                    values = [omega, *(psd(probe, w["component"], omega) * gain
-                                       for psd in (wind.dryden_psd,
-                                                   wind.von_karman_psd))]
-            except (FloatingPointError, OverflowError):
-                values = [math.inf]
-            fine.append(np.isfinite(values).all())
-        if not fine[0]:
-            key = "length" if fine[1] else key
-            raise ConfigError(f"wind.{key}: spectral density is not finite")
+    # both densities at omega = 0 (sigma**2 * length / pi), at the ends of
+    # the grid that run_wind writes, and times the synthesis gain up to the
+    # Nyquist frequency
+    for omega, gain in (
+            (0.0, 1.0),
+            (np.logspace(w["omega_log_min"], w["omega_log_max"],
+                         min(w["n_omega"], 2)), 1.0),
+            (np.array([0.0, np.pi / spacing]), 2.0 * np.pi / spacing)):
+        _finite(omega, *(psd(spec, w["component"], omega) * gain
+                         for psd in (wind.dryden_psd, wind.von_karman_psd)))
     return w
 
 
@@ -315,15 +318,9 @@ def _optimize(o: dict) -> dict:
     default = getattr(swarm_opt, f"{o['algorithm'].capitalize()}Config")()
     # one-dimensional, so that validating allocates nothing per ``dim``
     swarm_opt.SearchSpace(lower=o["lower"], upper=o["upper"])
-    # at the box's farthest corner the fitness is dim equal terms; dim may
-    # be an int too large for a float, so it is only compared
-    far = max(("upper", "lower"), key=lambda k: abs(o[k]))
-    with np.errstate(over="ignore"):
-        term = getattr(swarm_opt, o["function"])(np.array([float(o[far])]))
-    if not (term == 0 or o["dim"] <= sys.float_info.max / term):
-        key = far if math.isinf(term) else "dim"
-        raise ConfigError(f"optimize.{key}: {o['function']} is not finite at "
-                          "the farthest corner of the box")
+    # at the box's farthest corner the fitness is dim equal terms
+    corner = np.array([max(o["lower"], o["upper"], key=abs)], dtype=float)
+    _finite(getattr(swarm_opt, o["function"])(corner) * float(o["dim"]))
     sizes = _given({key: o[key] for key in _SWARM_SIZES})
     for key in sizes:
         if key not in _fields(default):
@@ -342,6 +339,9 @@ def _formation(f: dict) -> dict:
 
 _BUDGET_ITEMS = ("tx_items", "loss_items", "rx_items")
 _BUDGET_FIGURES = ("noise_bandwidth_hz", "noise_figure_db", "rx_threshold_db")
+_BUDGET_TOTALS = ("eirp_db", "total_path_loss_db", "total_rx_gain_db",
+                  "rsl_db", "noise_figure_db", "noise_power_dbm",
+                  "rx_threshold_db", "link_margin_db")   # LinkBudget fields
 
 
 def _channel(c: dict) -> dict:
@@ -351,10 +351,11 @@ def _channel(c: dict) -> dict:
             channel.noise_sigma(ebn0_db)
     with _at("channel.constellation_ebn0_db"):
         channel.noise_sigma(c["constellation_ebn0_db"])
-    models = (channel.friis_received_power, channel.two_ray_received_power)
-    _finite_at_ends(c["sweep"], "channel.sweep", "channel.link", lambda d: {
-        "received power in dB": [channel.watts_to_dbm(model(c["link"], d))
-                                 for model in models]})
+    sweep = c["sweep"]
+    ends = np.logspace(math.log10(sweep["d_min"]), math.log10(sweep["d_max"]),
+                       2)
+    _finite(*(channel.watts_to_dbm(model(c["link"], ends)) for model in (
+        channel.friis_received_power, channel.two_ray_received_power)))
     return c
 
 
@@ -374,11 +375,9 @@ def _budget(b: dict) -> dict:
     # AntennaSpec checks the antenna's derived values
     for mode in linkbudget.BudgetMode:
         budget = linkbudget.compute_budget(b["antenna"], b["config"], mode)
-        try:
-            json.dumps(_budget_json(b["antenna"], budget), allow_nan=False)
-        except ValueError:
-            raise ConfigError(f"budget: a total of the ledger is not finite "
-                              f"in {mode.value} mode") from None
+        _finite(*(getattr(budget, key) for key in _BUDGET_TOTALS),
+                *(x for d in budget.discrepancies
+                  for x in (d.printed, d.computed)))
     return b
 
 
@@ -386,7 +385,10 @@ def _network(n: dict) -> dict:
     from . import network
     with _at("network.n_groups"):
         network.check_groups(n["kind"], n["n_uavs"], n["n_groups"])
-    if n["positions"] is not None:
+    if n["positions"] is None:
+        # the squared diagonal of the seeded draw's cube of side link_range
+        _finite(3.0 * n["link_range"] * n["link_range"])
+    else:
         # one is_node test per key: no id of the swarm is listed
         for key in n["positions"]:
             if not network.is_node(n["n_uavs"], key):
@@ -394,10 +396,6 @@ def _network(n: dict) -> dict:
                     f"{_join('network.positions', key)}: unknown node")
         with _at("network.positions"):
             network.check_positions(n["n_uavs"], n["positions"])
-    elif not math.isfinite(3.0 * n["link_range"] * n["link_range"]):
-        # the seeded draw fills a cube of side link_range
-        raise ConfigError("network.link_range: distances between the drawn "
-                          "positions overflow")
     for key in ("src", "dst"):
         if not network.is_node(n["n_uavs"], n[key]):
             raise ConfigError(f"network.{key}: unknown node {n[key]!r}")
@@ -428,10 +426,9 @@ def _berdist(b: dict) -> dict:
     _need(b, "berdist", "data_rate", "noise_power_dbm")
     with _at("berdist.noise_power_dbm"):
         linkbudget.dbm_to_watts(b["noise_power_dbm"])
-    # names the first field whose reference value mends the berdist.csv curves
-    _finite_at_ends(b, "berdist", "berdist", lambda d, **given: (
-        linkbudget.ber_vs_distance(*({**b, **given}[k] for k in ref), d)),
-        [(k, ref[k]) for k in ("data_rate", "noise_power_dbm", "link")])
+    ends = np.logspace(math.log10(b["d_min"]), math.log10(b["d_max"]), 2)
+    _finite(*linkbudget.ber_vs_distance(
+        b["link"], b["data_rate"], b["noise_power_dbm"], ends).values())
     return b
 
 
@@ -462,7 +459,6 @@ _CHECKS = {"dt": (lambda dt: dt > 0, "must be > 0"),
                            (lambda n: n >= 0, "must be >= 0"))}
 _MAX_STEPS = np.iinfo(np.intp).max   # ticks of dynamics and formation
 _VEC3 = (0.0, 0.0, 0.0)
-_WIND_LENGTH = (200.0, 200.0, 50.0)   # m; a wind probe they pass names them
 
 
 def _uav():
@@ -481,7 +477,7 @@ DEFAULTS = {
         "gains": swarmlink.dynamics.PidGains(kp=4.0, kd=4.0),
         "initial_position": _VEC3, "target_position": (1.0, 0.0, 0.0)}),
     "wind": _section(lambda: {
-        "sigma": (1.0, 1.0, 1.0), "length": _WIND_LENGTH,
+        "sigma": (1.0, 1.0, 1.0), "length": (200.0, 200.0, 50.0),
         "model": swarmlink.wind.TurbulenceModel.DRYDEN, "component": "u",
         "omega_log_min": -4.0, "omega_log_max": 1.0, "n_omega": 200,
         "sample_spacing": 1.0, "n_samples": 4096}, _wind),
@@ -676,10 +672,7 @@ def _budget_json(antenna, budget) -> dict:
     """The payload of budget.json."""
     from . import linkbudget
     rho = linkbudget.vswr_to_reflection(antenna.vswr)
-    payload = {key: getattr(budget, key) for key in (
-        "eirp_db", "total_path_loss_db", "total_rx_gain_db", "rsl_db",
-        "noise_figure_db", "noise_power_dbm", "rx_threshold_db",
-        "link_margin_db")}
+    payload = {key: getattr(budget, key) for key in _BUDGET_TOTALS}
     payload.update(
         mode=budget.mode.value,
         derived={"reflection_coefficient": rho,

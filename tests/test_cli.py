@@ -388,8 +388,12 @@ MALFORMED = [
     ("optimize", "optimize.dim", 0, "optimize.dim"),
     ("optimize", "optimize.dim", -1, "optimize.dim"),
     ("optimize", "optimize", {"lower": -1e308, "upper": 1e308}, "optimize"),
+    # either bound alone overflows, so no one field's default mends it
     ("optimize", "optimize", {"algorithm": "gwo", "lower": -1e300,
-                              "upper": 1e300}, "optimize.upper"),
+                              "upper": 1e300}, "optimize"),
+    ("optimize", "optimize", {"algorithm": "gwo", "upper": 1e300},
+     "optimize.upper"),
+    ("optimize", "optimize.lower", -1e300, "optimize.lower"),
     ("optimize", "optimize.dim", 10 ** 309, "optimize.dim"),
     ("wind", "wind.n_omega", -1, "wind.n_omega"),
     ("channel", "channel.sweep.n", -1, "channel.sweep.n"),
@@ -624,6 +628,24 @@ def test_line_breaks_in_keys_stay_on_one_line(tmp_path, config_dict,
         EXIT_INVALID
     assert capsys.readouterr().err.splitlines() == [
         "error: config: network.positions.u\\u20289: array of 3 required"]
+
+
+def test_two_faulty_fields_name_the_section(tmp_path, config_dict, capsys):
+    """Neither field's default alone lets the wind model pass, so the error
+    names the section, not a field of it."""
+    config_dict["wind"].update(sigma=[1e300, 1, 1], length=[1e300, 1, 1])
+    assert main(["validate", "--config", _write(tmp_path, config_dict)]) == \
+        EXIT_INVALID
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: config: ")
+    assert line[15:].split(":")[0] == "wind"
+
+
+def test_one_point_omega_grid_ignores_its_upper_end():
+    """With n_omega < 2 run_wind never evaluates 10**omega_log_max, so an
+    end that overflows is accepted."""
+    config = {"seed": 1, "wind": {"n_omega": 1, "omega_log_max": 400}}
+    assert validate_config(config) == []
 
 
 def test_every_section_has_valid_defaults():
