@@ -294,17 +294,21 @@ def _finite(*values) -> None:
 def _wind(w: dict) -> dict:
     from . import wind
     spec = w["spec"] = wind.TurbulenceSpec(w["sigma"], w["length"], w["model"])
-    spacing = w["sample_spacing"]
-    # both densities at omega = 0 (sigma**2 * length / pi), at the ends of
-    # the grid that run_wind writes, and times the synthesis gain up to the
-    # Nyquist frequency
-    for omega, gain in (
-            (0.0, 1.0),
-            (np.logspace(w["omega_log_min"], w["omega_log_max"],
-                         min(w["n_omega"], 2)), 1.0),
-            (np.array([0.0, np.pi / spacing]), 2.0 * np.pi / spacing)):
-        _finite(omega, *(psd(spec, w["component"], omega) * gain
-                         for psd in (wind.dryden_psd, wind.von_karman_psd)))
+    component, n, spacing = w["component"], w["n_samples"], w["sample_spacing"]
+    # both densities at the ends of the grid that run_wind writes
+    omega = np.logspace(w["omega_log_min"], w["omega_log_max"],
+                        min(w["n_omega"], 2))
+    _finite(omega, *(psd(spec, component, omega)
+                     for psd in (wind.dryden_psd, wind.von_karman_psd)))
+    # the synthesis gain on the bins of its largest values, DC and either
+    # side of the density's peak, and of its largest terms, Nyquist; the
+    # bins' frequencies are np.fft.rfftfreq's
+    nyquist = n // 2
+    peak = int(min(wind.peak_omega(spec, component) * n * spacing
+                   / (2.0 * np.pi), nyquist))
+    bins = np.array([0, peak, min(peak + 1, nyquist), nyquist], dtype=float)
+    _finite(wind.synthesis_gain(spec, component, spacing,
+                                bins * (1.0 / (n * spacing))))
     return w
 
 

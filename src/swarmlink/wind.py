@@ -8,6 +8,7 @@ equals sigma**2.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,8 @@ __all__ = [
     "dryden_psd",
     "von_karman_psd",
     "turbulence_psd",
+    "peak_omega",
+    "synthesis_gain",
     "synthesize_turbulence",
     "wind_shear_response",
     "airflow_drag_force",
@@ -49,6 +52,8 @@ class TurbulenceSpec:
             raise ValueError("sigma components must be non-negative")
         if any(l <= 0 for l in self.length):
             raise ValueError("length components must be positive")
+        if not all(map(math.isfinite, (*self.sigma, *self.length))):
+            raise ValueError("sigma and length components must be finite")
 
     def params_for(self, component: str) -> tuple[float, float]:
         try:
@@ -106,6 +111,33 @@ def turbulence_psd(spec: TurbulenceSpec, component: str, omega):
     return von_karman_psd(spec, component, omega)
 
 
+def peak_omega(spec: TurbulenceSpec, component: str) -> float:
+    """Spatial frequency (rad/m) at which the selected density is largest:
+    0 for u; for v and w where the transverse shape peaks, L*Omega =
+    1/sqrt(12) for Dryden (9/8 of the value at 0) and (2aL*Omega)**2 = 3/8
+    for Von Karman (about 1.116 times)."""
+    _, length = spec.params_for(component)
+    if component == "u":
+        return 0.0
+    if spec.model is TurbulenceModel.DRYDEN:
+        return 1.0 / (math.sqrt(12.0) * length)
+    return math.sqrt(3.0 / 8.0) / (2.0 * VON_KARMAN_A * length)
+
+
+def synthesis_gain(spec: TurbulenceSpec, component: str,
+                   sample_spacing: float, freqs: np.ndarray) -> np.ndarray:
+    """sqrt(2*pi*psd/sample_spacing): the factor by which
+    :func:`synthesize_turbulence` shapes the rfft bins at ``freqs`` (cycles
+    per meter, a float array turned into omega in place), since white noise
+    with unit variance has two-sided density sample_spacing/(2*pi)."""
+    freqs *= 2.0 * np.pi
+    gain = turbulence_psd(spec, component, freqs)
+    gain *= 2.0
+    gain *= np.pi
+    gain /= sample_spacing
+    return np.sqrt(gain, out=gain)
+
+
 def synthesize_turbulence(spec: TurbulenceSpec, component: str,
                           sample_spacing: float, n_samples: int,
                           seed: int) -> np.ndarray:
@@ -115,22 +147,24 @@ def synthesize_turbulence(spec: TurbulenceSpec, component: str,
     White Gaussian noise is shaped in the frequency domain by the square
     root of the target density. ``n_samples`` must be a power of two and
     the DC bin is zeroed so the series is exactly zero-mean.
+
+    Each array is freed or reused in place once spent. With n = n_samples,
+    at most the density's temporaries over the n/2 + 1 bins are held while
+    the gain is built; then the gain, the white noise and its spectrum
+    during the forward transform; then the spectrum and the series.
     """
-    if sample_spacing <= 0:
-        raise ValueError("sample_spacing must be > 0")
+    if not 0 < sample_spacing < math.inf:
+        raise ValueError("sample_spacing must be finite and > 0")
     if n_samples < 2 or n_samples & (n_samples - 1):
         raise ValueError("n_samples must be a power of two >= 2")
-    rng = np.random.default_rng(seed)
-    white = rng.standard_normal(n_samples)
-    freqs = np.fft.rfftfreq(n_samples, d=sample_spacing)  # cycles per meter
-    omega = 2.0 * np.pi * freqs
-    psd = turbulence_psd(spec, component, omega)
-    # white noise with unit variance has two-sided density spacing/(2*pi)
-    gain = np.sqrt(psd * 2.0 * np.pi / sample_spacing)
-    spectrum = np.fft.rfft(white) * gain
+    gain = synthesis_gain(spec, component, sample_spacing,
+                          np.fft.rfftfreq(n_samples, d=sample_spacing))
+    spectrum = np.fft.rfft(
+        np.random.default_rng(seed).standard_normal(n_samples))
+    spectrum *= gain
+    del gain
     spectrum[0] = 0.0
-    series = np.fft.irfft(spectrum, n=n_samples)
-    return series
+    return np.fft.irfft(spectrum, n=n_samples)
 
 
 def wind_shear_response(coeff: WindShearCoeff,

@@ -357,7 +357,8 @@ MALFORMED = [
     ("formation", "formation.edges", [["leader"]], "formation.edges[0]"),
     ("wind", "wind.sigma", 1.0, "wind.sigma"),
     ("network", "network.n_uavs", "5", "network.n_uavs"),
-    ("network", "network.apf.obstacles", [[1, 2]], "network.apf.obstacles"),
+    ("network", "network.apf.obstacles", [[1, 2]],
+     "network.apf.obstacles[0][0]"),
     ("channel", "channel.n_bits", 3, "channel.n_bits"),
     ("dynamics", "dynamics.gains.kp", -1, "dynamics.gains"),
     ("formation", "formation.params.mass", 0, "formation.params"),
@@ -479,14 +480,14 @@ MALFORMED = [
     ("budget", "budget", {**LEDGER, "noise_bandwidth_hz": 0}, "budget"),
     # each passed validate, then wrote Infinity into budget.json
     ("budget", "budget", {**LEDGER, "tx_items": [["a", 1e308], ["b", 1e308]]},
-     "budget"),
+     "budget.tx_items"),
     ("budget", "budget", {**LEDGER, "loss_items": [["a", -1e308],
                                                    ["b", -1e308]]},
-     "budget"),
+     "budget.loss_items"),
     # overflows in paper mode only, which validate checks as well
     ("budget", "budget", {**LEDGER, "printed_totals": {
         "total_path_loss_db": -1e308, "total_rx_gain_db": -1e308}},
-     "budget"),
+     "budget.printed_totals.total_path_loss_db"),
     ("budget", "budget", {**LEDGER, "antenna": {"input_power": 1e308,
                                                 "vswr": 1e8}},
      "budget.antenna"),
@@ -520,6 +521,15 @@ MALFORMED = [
     ("berdist", "berdist", {"use_reference": False, "link": {
         "tx_power": 1e308, "wavelength": 0.125, "distance": 2000.0},
         "data_rate": 1e6, "noise_power_dbm": -120.0}, "berdist.link"),
+    # each passed validate, then wrote a NaN gust series: the synthesis
+    # gain ((psd * 2) * pi) / spacing overflows where psd * (2 pi / spacing)
+    # does not, and the transverse densities peak above their value at 0
+    ("wind", "wind", {"sigma": [1e154, 1, 1], "length": [1.0, 200, 150],
+                      "sample_spacing": 1e10, "n_samples": 16}, "wind.sigma"),
+    *(("wind", "wind", {"sigma": [1, 1e153, 1], "length": [200, 85.0, 150],
+                        "model": model, "component": "v",
+                        "n_samples": 4096}, "wind.sigma")
+      for model in ("dryden", "von_karman")),
 ]
 
 
@@ -539,7 +549,8 @@ def test_malformed_config_one_line_exit_2(tmp_path, config_dict, capsys,
         EXIT_INVALID
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith(f"error: config: {named}")
+    assert lines[0].startswith("error: config: ")
+    assert lines[0].removeprefix("error: config: ").split(": ")[0] == named
     assert not out.exists()   # rejected before any runner
     assert main(["validate", "--config", path]) == EXIT_INVALID
 

@@ -1,5 +1,9 @@
 """Wind module tests: spectral values against hand-computed oracles, a
 Welch periodogram oracle for the synthesizer, and shear/drag identities."""
+import itertools
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -7,7 +11,7 @@ from scipy.integrate import quad
 from scipy.signal import welch
 
 from swarmlink.wind import (TurbulenceModel, TurbulenceSpec, WindShearCoeff,
-                            airflow_drag_force, dryden_psd,
+                            airflow_drag_force, dryden_psd, peak_omega,
                             synthesize_turbulence, turbulence_psd,
                             von_karman_psd, wind_shear_response)
 
@@ -127,6 +131,69 @@ def test_synthesis_rejects_bad_sizes():
         synthesize_turbulence(SPEC_D, "u", 0.0, 1024, seed=0)
 
 
+@pytest.mark.parametrize("spacing", [math.nan, math.inf, -math.inf])
+def test_synthesis_rejects_non_finite_spacing(spacing):
+    # NaN spacing gave an all-NaN series and inf an all-zero one
+    with pytest.raises(ValueError, match="sample_spacing"):
+        synthesize_turbulence(SPEC_D, "u", spacing, 1024, seed=0)
+
+
+def _out_of_place_synthesis(spec, component, sample_spacing, n_samples,
+                            seed):
+    """The synthesis with every intermediate a new array, the reference
+    that the in-place one must match bit for bit."""
+    rng = np.random.default_rng(seed)
+    white = rng.standard_normal(n_samples)
+    freqs = np.fft.rfftfreq(n_samples, d=sample_spacing)
+    omega = 2.0 * np.pi * freqs
+    psd = turbulence_psd(spec, component, omega)
+    gain = np.sqrt(psd * 2.0 * np.pi / sample_spacing)
+    spectrum = np.fft.rfft(white) * gain
+    spectrum[0] = 0.0
+    return np.fft.irfft(spectrum, n=n_samples)
+
+
+@pytest.mark.parametrize("spec", [SPEC_D, SPEC_VK], ids=["dryden", "vk"])
+def test_in_place_synthesis_keeps_every_bit(spec):
+    for component, spacing, n in itertools.product(
+            "uvw", (0.37, 1.0, 2.5), (2, 8, 4096)):
+        seed = n + int(100 * spacing)
+        assert np.array_equal(
+            synthesize_turbulence(spec, component, spacing, n, seed),
+            _out_of_place_synthesis(spec, component, spacing, n, seed)), \
+            (component, spacing, n)
+
+
+@pytest.mark.parametrize("component", ["u", "w"])
+def test_synthesis_runs_in_little_memory(component):
+    """A 2**17-sample series (1 MiB) held white noise, frequencies, omega,
+    density, gain, spectrum and series at once, 5.0 MiB; freed or reused
+    in place as soon as spent, they peak at 2.5 MiB."""
+    spec = TurbulenceSpec(sigma=(1.0, 1.0, 0.7), length=(200.0, 200.0, 150.0),
+                          model=TurbulenceModel.VON_KARMAN)
+    synthesize_turbulence(spec, component, 1.0, 2 ** 17, seed=1)   # warm up
+    tracemalloc.start()
+    try:
+        synthesize_turbulence(spec, component, 1.0, 2 ** 17, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20, peak
+
+
+@pytest.mark.parametrize("spec,component,ratio", [
+    (SPEC_D, "u", 1.0), (SPEC_VK, "u", 1.0), (SPEC_D, "v", 9.0 / 8.0),
+    (SPEC_VK, "w", 2.0 / (11.0 / 8.0) ** (11.0 / 6.0))])   # about 1.1155
+def test_peak_omega_is_the_density_maximum(spec, component, ratio):
+    peak = peak_omega(spec, component)
+    around = peak + np.linspace(-0.5, 0.5, 1001) * (peak or 1e-3)
+    at_peak = turbulence_psd(spec, component, peak)
+    assert at_peak == pytest.approx(
+        turbulence_psd(spec, component, np.abs(around)).max(), rel=1e-6)
+    assert at_peak == pytest.approx(
+        ratio * turbulence_psd(spec, component, 0.0), rel=1e-12)
+
+
 @given(st.floats(-0.999, 0.999), st.floats(-50, 50))
 def test_shear_split_sums(p, delta_vw):
     dvg, dva = wind_shear_response(WindShearCoeff(p=p), delta_vw)
@@ -157,3 +224,13 @@ def test_spec_validation():
         TurbulenceSpec(sigma=(1.0, 1.0, 1.0), length=(1.0, 0.0, 1.0))
     with pytest.raises(ValueError):
         SPEC_D.params_for("x")
+
+
+@pytest.mark.parametrize("sigma,length", [
+    ((math.nan, 1.0, 1.0), (1.0, 1.0, 1.0)),
+    ((1.0, math.inf, 1.0), (1.0, 1.0, 1.0)),
+    ((1.0, 1.0, 1.0), (1.0, math.nan, 1.0)),
+    ((1.0, 1.0, 1.0), (1.0, 1.0, math.inf))])
+def test_spec_rejects_non_finite_values(sigma, length):
+    with pytest.raises(ValueError, match="finite"):
+        TurbulenceSpec(sigma=sigma, length=length)
