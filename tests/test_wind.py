@@ -166,9 +166,10 @@ def test_in_place_synthesis_keeps_every_bit(spec):
 
 @pytest.mark.parametrize("component", ["u", "w"])
 def test_synthesis_runs_in_little_memory(component):
-    """A 2**17-sample series (1 MiB) held white noise, frequencies, omega,
-    density, gain, spectrum and series at once, 5.0 MiB; freed or reused
-    in place as soon as spent, they peak at 2.5 MiB."""
+    """White noise, frequencies, omega, density, gain, spectrum and series
+    of a 2**17-sample series (1 MiB) held at once take 5.0 MiB; freed or
+    reused in place as soon as spent, they peak at 2.5 MiB for u and
+    3.5 MiB for w."""
     spec = TurbulenceSpec(sigma=(1.0, 1.0, 0.7), length=(200.0, 200.0, 150.0),
                           model=TurbulenceModel.VON_KARMAN)
     synthesize_turbulence(spec, component, 1.0, 2 ** 17, seed=1)   # warm up
