@@ -300,9 +300,9 @@ def _wind(w: dict) -> dict:
                         min(w["n_omega"], 2))
     _finite(omega, *(psd(spec, component, omega)
                      for psd in (wind.dryden_psd, wind.von_karman_psd)))
-    # the synthesis gain on the bins of its largest values, DC and either
-    # side of the density's peak, and of its largest terms, Nyquist; the
-    # bins' frequencies are np.fft.rfftfreq's
+    # the synthesis gain where it is largest (DC and the bins either side
+    # of the density's peak) and where the density's terms are (Nyquist),
+    # each bin's frequency computed as np.fft.rfftfreq computes it
     nyquist = n // 2
     peak = int(min(wind.peak_omega(spec, component) * n * spacing
                    / (2.0 * np.pi), nyquist))

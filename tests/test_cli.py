@@ -659,6 +659,24 @@ def test_one_point_omega_grid_ignores_its_upper_end():
     assert validate_config(config) == []
 
 
+def test_gain_probe_reads_only_the_selected_density(tmp_path):
+    """The synthesis shapes its noise by the selected density alone. Here
+    Dryden's transverse terms overflow at the Nyquist frequency and Von
+    Karman's do not, so a Von Karman run is accepted and writes a finite
+    series."""
+    config = {"seed": 1, "wind": {"model": "von_karman", "component": "w",
+                                  "length": [200, 200, 1.0],
+                                  "sample_spacing": 1e-80, "n_samples": 16}}
+    assert validate_config(config) == []
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["wind", "--config", _write(tmp_path, config),
+                     "--out", str(out)]) == EXIT_OK
+    gust = np.loadtxt(out / "series.csv", delimiter=",", skiprows=1)[:, 1]
+    assert np.isfinite(gust).all()
+
+
 def test_every_section_has_valid_defaults():
     config = {"seed": 1, "formation": {"root": "l", "edges": []},
               **{s: {} for s in ("dynamics", "wind", "optimize", "channel",
