@@ -300,15 +300,9 @@ def _wind(w: dict) -> dict:
                         min(w["n_omega"], 2))
     _finite(omega, *(psd(spec, component, omega)
                      for psd in (wind.dryden_psd, wind.von_karman_psd)))
-    # the synthesis gain where it is largest (DC and the bins either side
-    # of the density's peak) and where the density's terms are (Nyquist),
-    # each bin's frequency computed as np.fft.rfftfreq computes it
-    nyquist = n // 2
-    peak = int(min(wind.peak_omega(spec, component) * n * spacing
-                   / (2.0 * np.pi), nyquist))
-    bins = np.array([0, peak, min(peak + 1, nyquist), nyquist], dtype=float)
-    _finite(wind.synthesis_gain(spec, component, spacing,
-                                bins * (1.0 / (n * spacing))))
+    # the synthesis gain where it and the density's terms are largest
+    _finite(wind.synthesis_gain(spec, component, spacing, n,
+                                wind.probe_bins(spec, component, spacing, n)))
     return w
 
 

@@ -20,7 +20,7 @@ __all__ = [
     "dryden_psd",
     "von_karman_psd",
     "turbulence_psd",
-    "peak_omega",
+    "probe_bins",
     "synthesis_gain",
     "synthesize_turbulence",
     "wind_shear_response",
@@ -111,27 +111,40 @@ def turbulence_psd(spec: TurbulenceSpec, component: str, omega):
     return von_karman_psd(spec, component, omega)
 
 
-def peak_omega(spec: TurbulenceSpec, component: str) -> float:
-    """Spatial frequency (rad/m) at which the selected density is largest:
-    0 for u; for v and w where the transverse shape peaks, L*Omega =
-    1/sqrt(12) for Dryden (9/8 of the value at 0) and (2aL*Omega)**2 = 3/8
-    for Von Karman (about 1.116 times)."""
+def probe_bins(spec: TurbulenceSpec, component: str, sample_spacing: float,
+               n_samples: int) -> np.ndarray:
+    """The rfft bins of :func:`synthesize_turbulence` where its gain or the
+    density's terms are largest: DC, the two either side of the density's
+    peak, and Nyquist. The density peaks at Omega = 0 for u; the v and w
+    shapes peak above that, by 9/8 at L*Omega = 1/sqrt(12) for Dryden and
+    by about 1.116 at (2aL*Omega)**2 = 3/8 for Von Karman. Every term of
+    the densities grows with Omega."""
     _, length = spec.params_for(component)
     if component == "u":
-        return 0.0
-    if spec.model is TurbulenceModel.DRYDEN:
-        return 1.0 / (math.sqrt(12.0) * length)
-    return math.sqrt(3.0 / 8.0) / (2.0 * VON_KARMAN_A * length)
+        peak = 0.0
+    elif spec.model is TurbulenceModel.DRYDEN:
+        peak = 1.0 / (math.sqrt(12.0) * length)
+    else:
+        peak = math.sqrt(3.0 / 8.0) / (2.0 * VON_KARMAN_A * length)
+    nyquist = n_samples // 2
+    k = int(min(peak * n_samples * sample_spacing / (2.0 * np.pi), nyquist))
+    return np.array([0, k, min(k + 1, nyquist), nyquist], dtype=float)
 
 
 def synthesis_gain(spec: TurbulenceSpec, component: str,
-                   sample_spacing: float, freqs: np.ndarray) -> np.ndarray:
-    """sqrt(2*pi*psd/sample_spacing): the factor by which
-    :func:`synthesize_turbulence` shapes the rfft bins at ``freqs`` (cycles
-    per meter, a float array turned into omega in place), since white noise
-    with unit variance has two-sided density sample_spacing/(2*pi)."""
-    freqs *= 2.0 * np.pi
-    gain = turbulence_psd(spec, component, freqs)
+                   sample_spacing: float, n_samples: int,
+                   bins: np.ndarray | None = None) -> np.ndarray:
+    """sqrt(2*pi*psd/sample_spacing) on the rfft ``bins`` (all by default)
+    of an ``n_samples`` series, each bin's frequency computed as
+    np.fft.rfftfreq computes it: the factor by which
+    :func:`synthesize_turbulence` shapes each bin, since white noise with
+    unit variance has two-sided density sample_spacing/(2*pi)."""
+    if bins is None:
+        omega = np.fft.rfftfreq(n_samples, d=sample_spacing)
+    else:
+        omega = bins * (1.0 / (n_samples * sample_spacing))
+    omega *= 2.0 * np.pi
+    gain = turbulence_psd(spec, component, omega)
     gain *= 2.0
     gain *= np.pi
     gain /= sample_spacing
@@ -165,8 +178,7 @@ def synthesize_turbulence(spec: TurbulenceSpec, component: str,
         raise ValueError("n_samples must be a power of two >= 2")
     spectrum = np.fft.rfft(
         np.random.default_rng(seed).standard_normal(n_samples))
-    spectrum *= synthesis_gain(spec, component, sample_spacing,
-                               np.fft.rfftfreq(n_samples, d=sample_spacing))
+    spectrum *= synthesis_gain(spec, component, sample_spacing, n_samples)
     spectrum[0] = 0.0
     return np.fft.irfft(spectrum, n=n_samples)
 

@@ -11,9 +11,10 @@ from scipy.integrate import quad
 from scipy.signal import welch
 
 from swarmlink.wind import (TurbulenceModel, TurbulenceSpec, WindShearCoeff,
-                            airflow_drag_force, dryden_psd, peak_omega,
-                            synthesize_turbulence, turbulence_psd,
-                            von_karman_psd, wind_shear_response)
+                            airflow_drag_force, dryden_psd, probe_bins,
+                            synthesis_gain, synthesize_turbulence,
+                            turbulence_psd, von_karman_psd,
+                            wind_shear_response)
 
 SPEC_D = TurbulenceSpec(sigma=(1.5, 1.2, 0.8), length=(200.0, 150.0, 50.0),
                         model=TurbulenceModel.DRYDEN)
@@ -182,17 +183,22 @@ def test_synthesis_runs_in_little_memory(component):
     assert peak < 4 * 2 ** 20, peak
 
 
+@pytest.mark.parametrize("spec", [SPEC_D, SPEC_VK], ids=["dryden", "vk"])
+def test_probe_bins_hold_the_largest_gain(spec):
+    for component, spacing, n in itertools.product(
+            "uvw", (0.37, 1.0, 2.5, 40.0), (2, 8, 4096)):
+        bins = probe_bins(spec, component, spacing, n)
+        assert synthesis_gain(spec, component, spacing, n).max() == \
+            synthesis_gain(spec, component, spacing, n, bins).max(), \
+            (component, spacing, n, bins)
+
+
 @pytest.mark.parametrize("spec,component,ratio", [
     (SPEC_D, "u", 1.0), (SPEC_VK, "u", 1.0), (SPEC_D, "v", 9.0 / 8.0),
     (SPEC_VK, "w", 2.0 / (11.0 / 8.0) ** (11.0 / 6.0))])   # about 1.1155
-def test_peak_omega_is_the_density_maximum(spec, component, ratio):
-    peak = peak_omega(spec, component)
-    around = peak + np.linspace(-0.5, 0.5, 1001) * (peak or 1e-3)
-    at_peak = turbulence_psd(spec, component, peak)
-    assert at_peak == pytest.approx(
-        turbulence_psd(spec, component, np.abs(around)).max(), rel=1e-6)
-    assert at_peak == pytest.approx(
-        ratio * turbulence_psd(spec, component, 0.0), rel=1e-12)
+def test_density_peak_over_its_value_at_zero(spec, component, ratio):
+    gain = synthesis_gain(spec, component, 40.0, 2 ** 16)
+    assert (gain.max() / gain[0]) ** 2 == pytest.approx(ratio, rel=1e-6)
 
 
 @given(st.floats(-0.999, 0.999), st.floats(-50, 50))
