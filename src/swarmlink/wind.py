@@ -165,8 +165,8 @@ def synthesize_turbulence(spec: TurbulenceSpec, component: str,
     the function holds the white noise and its spectrum during the forward
     transform; then the spectrum, omega and the density's temporaries over
     the n/2 + 1 bins while the gain is built in place of the density; then
-    the spectrum and the series. At n = 2**17 that peaks at 2.5 MiB (u) to
-    3.5 MiB (transverse Von Karman) of numpy arrays. The transform runs
+    the spectrum and the series. At n = 2**17 that peaks at 2.5 to 3.5 MiB
+    of numpy arrays, depending on the density. The transform runs
     first so that pocketfft's scratch is freed before the density's
     temporaries are allocated: the reverse order holds 1 MiB less in
     arrays, but cold CLI runs at 2**16 and 2**17 samples reached a peak
