@@ -133,16 +133,17 @@ def probe_bins(spec: TurbulenceSpec, component: str, sample_spacing: float,
 
 def synthesis_gain(spec: TurbulenceSpec, component: str,
                    sample_spacing: float, n_samples: int,
-                   bins: np.ndarray | None = None) -> np.ndarray:
-    """sqrt(2*pi*psd/sample_spacing) on the rfft ``bins`` (all by default)
-    of an ``n_samples`` series, each bin's frequency computed as
-    np.fft.rfftfreq computes it: the factor by which
-    :func:`synthesize_turbulence` shapes each bin, since white noise with
-    unit variance has two-sided density sample_spacing/(2*pi)."""
-    if bins is None:
-        omega = np.fft.rfftfreq(n_samples, d=sample_spacing)
-    else:
-        omega = bins * (1.0 / (n_samples * sample_spacing))
+                   bins: np.ndarray) -> np.ndarray:
+    """sqrt(2*pi*psd/sample_spacing) on the rfft ``bins`` of an
+    ``n_samples`` series: the factor by which :func:`synthesize_turbulence`
+    shapes each bin, since white noise with unit variance has two-sided
+    density sample_spacing/(2*pi).
+
+    ``bins`` is a float array of bin indices, overwritten in place with
+    their frequencies Omega (rad/m), so the full grid costs no second
+    array. Every caller takes this one path from bin to gain."""
+    omega = bins
+    omega *= 1.0 / (n_samples * sample_spacing)
     omega *= 2.0 * np.pi
     gain = turbulence_psd(spec, component, omega)
     gain *= 2.0
@@ -178,7 +179,8 @@ def synthesize_turbulence(spec: TurbulenceSpec, component: str,
         raise ValueError("n_samples must be a power of two >= 2")
     spectrum = np.fft.rfft(
         np.random.default_rng(seed).standard_normal(n_samples))
-    spectrum *= synthesis_gain(spec, component, sample_spacing, n_samples)
+    spectrum *= synthesis_gain(spec, component, sample_spacing, n_samples,
+                               np.arange(n_samples // 2 + 1, dtype=float))
     spectrum[0] = 0.0
     return np.fft.irfft(spectrum, n=n_samples)
 

@@ -185,8 +185,9 @@ def test_probe_bins_hold_the_largest_gain(spec):
     for component, spacing, n in itertools.product(
             "uvw", (0.37, 1.0, 2.5, 40.0), (2, 8, 4096)):
         bins = probe_bins(spec, component, spacing, n)
-        assert synthesis_gain(spec, component, spacing, n).max() == \
-            synthesis_gain(spec, component, spacing, n, bins).max(), \
+        every = np.arange(n // 2 + 1, dtype=float)
+        assert synthesis_gain(spec, component, spacing, n, every).max() == \
+            synthesis_gain(spec, component, spacing, n, bins.copy()).max(), \
             (component, spacing, n, bins)
 
 
@@ -194,7 +195,8 @@ def test_probe_bins_hold_the_largest_gain(spec):
     (SPEC_D, "u", 1.0), (SPEC_VK, "u", 1.0), (SPEC_D, "v", 9.0 / 8.0),
     (SPEC_VK, "w", 2.0 / (11.0 / 8.0) ** (11.0 / 6.0))])   # about 1.1155
 def test_density_peak_over_its_value_at_zero(spec, component, ratio):
-    gain = synthesis_gain(spec, component, 40.0, 2 ** 16)
+    gain = synthesis_gain(spec, component, 40.0, 2 ** 16,
+                          np.arange(2 ** 15 + 1, dtype=float))
     assert (gain.max() / gain[0]) ** 2 == pytest.approx(ratio, rel=1e-6)
 
 
