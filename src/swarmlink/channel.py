@@ -112,20 +112,38 @@ def two_ray_received_power(link: LinkParams, distance: float | None = None):
     With R = 0 this reduces to Friis evaluated at d_los. The path
     difference is taken as 4*h_t*h_r / (d_ref + d_los), which equals
     d_ref - d_los without the cancellation that zeroes it at long range.
+
+    Each step runs in place, in the order of the formula above, so a grid
+    of n distances holds three float arrays and one complex array of n at
+    most. A scalar distance gives a numpy scalar.
     """
     d = link.distance if distance is None else distance
     d = np.asarray(d, dtype=float)
     if np.any(d <= 0):
         raise ValueError("distance must be > 0")
+    shape, d = d.shape, d.reshape(-1)   # 1-d, so that out= takes every step
     dh = link.tx_height - link.rx_height
     sh = link.tx_height + link.rx_height
-    d_los = np.sqrt(d ** 2 + dh ** 2)
-    d_ref = np.sqrt(d ** 2 + sh ** 2)
-    path_difference = 4.0 * link.tx_height * link.rx_height / (d_ref + d_los)
-    phi = 2.0 * np.pi * path_difference / link.wavelength
+    d_ref = d * d
+    d_los = d_ref + dh ** 2
+    np.sqrt(d_los, out=d_los)
+    d_ref += sh ** 2
+    np.sqrt(d_ref, out=d_ref)
+    phi = d_ref + d_los
+    np.divide(4.0 * link.tx_height * link.rx_height, phi, out=phi)
+    phi *= 2.0 * np.pi
+    phi /= link.wavelength
+    field = 1j * phi
+    np.exp(field, out=field)
     gain = math.sqrt(link.tx_gain * link.rx_gain)
-    field = gain / d_los + link.ground_reflection * np.exp(1j * phi) * gain / d_ref
-    return link.tx_power * (link.wavelength / (4.0 * np.pi)) ** 2 * np.abs(field) ** 2
+    field *= link.ground_reflection
+    field *= gain
+    field /= d_ref
+    field += np.divide(gain, d_los, out=d_los)
+    power = np.abs(field, out=d_los)
+    np.square(power, out=power)
+    power *= link.tx_power * (link.wavelength / (4.0 * np.pi)) ** 2
+    return power.reshape(shape)[()]
 
 
 def qpsk_modulate(bits) -> np.ndarray:
@@ -145,9 +163,13 @@ def qpsk_modulate(bits) -> np.ndarray:
 
 def qpsk_demodulate(symbols) -> np.ndarray:
     """Minimum-distance (sign) decisions inverse to :func:`qpsk_modulate`."""
-    symbols = np.ascontiguousarray(symbols, dtype=complex)
+    return _decide(np.ascontiguousarray(symbols, dtype=complex)).astype(int)
+
+
+def _decide(symbols: np.ndarray, out=None) -> np.ndarray:
+    """The sign decisions of contiguous complex ``symbols`` as bools."""
     # the float view lists each symbol's (I, Q) in bit order
-    return (symbols.view(float) < 0).astype(int)
+    return np.less(symbols.view(float), 0.0, out=out)
 
 
 def noise_sigma(ebn0_db: float) -> float:
@@ -174,7 +196,8 @@ def apply_channel(symbols, fading: FadingParams, ebn0_db: float) -> np.ndarray:
     rng = np.random.default_rng(fading.seed)
     sigma = noise_sigma(ebn0_db)
     h = _fading_gain(rng, symbols.shape, fading)
-    return _receive(_complex_normal(rng, symbols.shape), h, symbols, sigma)
+    return _receive(_complex_normal(rng, symbols.shape), h, h * symbols,
+                    sigma)
 
 
 def _fading_gain(rng, shape, fading: FadingParams, imag_rng=None):
@@ -189,12 +212,14 @@ def _fading_gain(rng, shape, fading: FadingParams, imag_rng=None):
     return h
 
 
-def _receive(noise: np.ndarray, h, symbols, sigma: float) -> np.ndarray:
-    # (h * s + sigma * noise) / h in place; s + noise / h rounds differently
-    noise *= sigma
-    noise += h * symbols
-    noise /= h
-    return noise
+def _receive(noise: np.ndarray, h, hs, sigma: float,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """(h * s + sigma * noise) / h from ``hs`` = h * s, into ``out``, else
+    in place of ``noise``; s + noise / h rounds differently."""
+    out = np.multiply(noise, sigma, out=noise if out is None else out)
+    out += hs
+    out /= h
+    return out
 
 
 def _complex_normal(rng, shape, imag_rng=None) -> np.ndarray:
@@ -245,13 +270,17 @@ def ber_qpsk_theoretical(fading: FadingParams, ebn0_db):
 
 def ber_monte_carlo(fading: FadingParams, ebn0_db, n_bits: int):
     """Measure BER by transmitting ``n_bits`` random bits and deciding them
-    with :func:`qpsk_demodulate`.
+    by the sign rule of :func:`qpsk_demodulate`.
 
     Returns ``(ber, n_errors)`` for one Eb/N0 point, or a list of them for
     a sequence of points. The bit source and the channel are seeded from
     ``fading.seed``, so repeated runs are identical. Every point sees the
-    same bits, gains and noise, streamed in blocks from generator-state
-    snapshots and decided at each point, so memory is one block's.
+    same bits, gains and noise, streamed in blocks of 8,192 symbols from
+    generator-state snapshots. Each block forms h*s once; each point
+    receives into one reused complex buffer, with the formula that
+    :func:`apply_channel` uses, and tests its signs against the bits into
+    one reused bool buffer, so memory is a few blocks', whatever the bit
+    count and the grid.
     """
     if n_bits % 2 or n_bits < 2:
         raise ValueError("n_bits must be even and >= 2")
@@ -276,16 +305,22 @@ def ber_monte_carlo(fading: FadingParams, ebn0_db, n_bits: int):
         for start in range(0, n, _BLOCK):
             rng.standard_normal(out=buf[:n - start])
     h_re, h_im, noise_re = [None, None, *runs][-3:]
+    # each point decides into these; only the last block may be shorter
+    hs, received = np.empty((2, len(buf)), dtype=complex)
+    wrong = np.empty(2 * len(buf), dtype=bool)
     n_errors = [0] * len(sigmas)
     for start in range(0, n, _BLOCK):
         size = min(_BLOCK, n - start)
+        if size < len(hs):
+            hs, received, wrong = hs[:size], received[:size], wrong[:2 * size]
         h = _fading_gain(h_re, size, fading, h_im)
         noise = _complex_normal(noise_re, size, rng)
         bits = bit_rng.integers(0, 2, size=2 * size)
-        symbols = qpsk_modulate(bits)
+        np.multiply(h, qpsk_modulate(bits), out=hs)
+        sent = bits.astype(bool)
         for i, sigma in enumerate(sigmas):
-            received = _receive(noise.copy(), h, symbols, sigma)
+            _decide(_receive(noise, h, hs, sigma, received), wrong)
             n_errors[i] += int(np.count_nonzero(
-                qpsk_demodulate(received) != bits))
+                np.not_equal(wrong, sent, out=wrong)))
     results = [(e / n_bits, e) for e in n_errors]
     return results[0] if scalar else results

@@ -25,7 +25,7 @@ import swarmlink   # its modules load on first use (swarmlink.<module>)
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INVALID = 2
-_BLOCK_ROWS = 8192   # rows that _write_csv formats per write
+_BLOCK_ROWS = 1024   # rows that _write_csv formats per write
 
 
 class ConfigError(ValueError):
@@ -40,7 +40,12 @@ def derive_seed(seed: int, tag: str) -> int:
 
 def _write_csv(path: Path, header: list[str], *columns) -> Path:
     """Write ``columns`` (arrays, ranges or lists of Python values) under
-    ``header``; a cell is str() of its Python value."""
+    ``header``; a cell is str() of its Python value.
+
+    The rows go out in blocks of :data:`_BLOCK_ROWS` (1,024). One block
+    holds each column's slice as Python values, their strings and the
+    block's text, about 0.3 MiB at four float columns, whatever the row
+    count."""
     with path.open("w") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, len(columns[0]), _BLOCK_ROWS):
@@ -430,10 +435,15 @@ def _berdist(b: dict) -> dict:
     return b
 
 
+# the most float64 values that one numpy array can hold: a count above it
+# cannot be sized, however much memory there is
+_MAX_COUNT = np.iinfo(np.intp).max // 8
 _CHECKS = {"dt": (lambda dt: dt > 0, "must be > 0"),
            "duration": (lambda d: d >= 0, "must be >= 0"),
-           "wind.n_samples": (lambda n: n >= 2 and not n & (n - 1),
-                              "power of two >= 2 required"),
+           "wind.n_samples": (lambda n: 2 <= n <= _MAX_COUNT
+                              and not n & (n - 1),
+                              "power of two from 2 to "
+                              f"2**{_MAX_COUNT.bit_length() - 1} required"),
            "channel.n_bits": (lambda n: n >= 2 and not n % 2,
                               "even number >= 2 required"),
            "optimize.algorithm": (_OPTIMIZERS.__contains__,
@@ -452,9 +462,11 @@ _CHECKS = {"dt": (lambda dt: dt > 0, "must be > 0"),
                             "network.apf.influence_radius",
                             "wind.sample_spacing"),
                            (lambda x: x > 0, "must be > 0")),
-           **dict.fromkeys(("wind.n_omega", "channel.sweep.n", "berdist.n",
-                            "network.apf.max_steps"),
-                           (lambda n: n >= 0, "must be >= 0"))}
+           **dict.fromkeys(("wind.n_omega", "channel.sweep.n", "berdist.n"),
+                           (lambda n: 0 <= n <= _MAX_COUNT,
+                            f"must lie in [0, {_MAX_COUNT}], the float64 "
+                            "values that numpy can size")),
+           "network.apf.max_steps": (lambda n: n >= 0, "must be >= 0")}
 _MAX_STEPS = np.iinfo(np.intp).max   # ticks of dynamics and formation
 _VEC3 = (0.0, 0.0, 0.0)
 

@@ -4,7 +4,6 @@ One test per acceptance criterion; each prints a single
 ``[PASS]``/``[FAIL]`` line on the real terminal (bypassing capture) so a
 plain ``pytest -v`` run shows the per-criterion verdicts.
 """
-import itertools
 import math
 import time
 from dataclasses import replace
@@ -19,6 +18,7 @@ from swarmlink.formation import (FormationMode, FormationSpec, Pose,
                                  RoleGraph, follower_targets)
 from swarmlink.simulate import (simulate_formation, simulate_position_hold,
                                 straight_line_leader)
+from test_network import _bfs_reachable, _brute_force_shortest, _random_graph
 
 PARAMS = UavParams(mass=1.0, thrust_coeff=1e-5)
 
@@ -312,46 +312,6 @@ def test_criterion_12_formation(capsys):
             assert err[-1] < 0.02 * np.linalg.norm(o), (f, err[-1])
     _verdict(capsys, 12, "formation: FGD/DF equivariance over 1000 poses, "
              "closed-loop offset error < 2%", check)
-
-
-def _brute_force_shortest(graph, src, dst):
-    best = None
-    near = {a: graph.near(a) for a in graph.nodes}
-    others = [n for n in graph.nodes if n not in (src, dst)]
-    for r in range(len(others) + 1):
-        for mid in itertools.permutations(others, r):
-            path = [src, *mid, dst]
-            cost = 0.0
-            ok = True
-            for a, b in zip(path[:-1], path[1:]):
-                if b not in near[a]:
-                    ok = False
-                    break
-                cost += near[a][b]
-            if ok and (best is None or cost < best):
-                best = cost
-    return best
-
-
-def _random_graph(rng, n_nodes, p_edge):
-    ids = [f"u{i}" for i in range(n_nodes)]
-    positions = {i: rng.uniform(-10, 10, 3) for i in ids}
-    edges = [(a, b, float(np.linalg.norm(positions[a] - positions[b])))
-             for a, b in itertools.combinations(ids, 2)
-             if rng.uniform() < p_edge]
-    return network.TopologyGraph.from_edges(
-        network.TopologyKind.SINGLE_GROUP_AD_HOC,
-        {i: network.NodeRole.SLAVE_UAV for i in ids}, positions, edges)
-
-
-def _bfs_reachable(graph, src, max_depth):
-    seen = {src}
-    frontier = [src]
-    for _ in range(max_depth):
-        frontier = [nb for node in frontier
-                    for nb in graph.near(node)
-                    if nb not in seen and not seen.add(nb)]
-    return seen
 
 
 def test_criterion_13_network(capsys):

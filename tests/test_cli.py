@@ -245,6 +245,19 @@ def test_config_too_large_to_allocate_one_line_exit_1(
     assert len(lines) == 1 and "Unable to allocate" in lines[0]
 
 
+def test_largest_counts_numpy_can_size_pass_validate(config_dict):
+    """The count rule stops where numpy's float64 arrays do, not below:
+    these fail to allocate at run time, as above, with one line."""
+    largest = np.iinfo(np.intp).max // 8
+    for field, value in (("wind.n_omega", largest),
+                         ("channel.sweep.n", largest),
+                         ("berdist.n", largest),
+                         ("wind.n_samples", 1 << largest.bit_length() - 1)):
+        config = copy.deepcopy(config_dict)
+        _set(config, field, value)
+        assert validate_config(config) == [], field
+
+
 def test_wind_rerun_byte_identical(tmp_path, config_dict):
     path = _write(tmp_path, config_dict)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -399,6 +412,14 @@ MALFORMED = [
     ("wind", "wind.n_omega", -1, "wind.n_omega"),
     ("channel", "channel.sweep.n", -1, "channel.sweep.n"),
     ("berdist", "berdist.n", -1, "berdist.n"),
+    # each passed validate, then ended in a traceback from np.logspace or
+    # exited 1 with "array is too big": no float64 array holds that many
+    ("wind", "wind.n_omega", 2 ** 63 - 1, "wind.n_omega"),
+    ("wind", "wind.n_omega", 2 ** 60, "wind.n_omega"),
+    ("channel", "channel.sweep.n", 2 ** 63 - 1, "channel.sweep.n"),
+    ("berdist", "berdist.n", 2 ** 63 - 1, "berdist.n"),
+    ("wind", "wind.n_samples", 2 ** 60, "wind.n_samples"),
+    ("wind", "wind.n_samples", 2 ** 1023, "wind.n_samples"),
     ("channel", "channel.ebn0_db", [4000], "channel.ebn0_db[0]"),
     ("channel", "channel.ebn0_db", [1e308], "channel.ebn0_db[0]"),
     ("channel", "channel.ebn0_db", [-4000], "channel.ebn0_db[0]"),

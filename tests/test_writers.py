@@ -224,3 +224,22 @@ def test_topology_streams_in_little_memory():
         size = path.stat().st_size
     assert size > 2_800_000
     assert peak < 0.1 * size, (peak, size)
+
+
+def test_csv_streams_in_little_memory():
+    """30,000 rows of four float columns (2.3 MB): one block's cells and
+    text at a time, not 8,192 rows' worth."""
+    rng = np.random.default_rng(30)
+    cols = [rng.standard_normal(30_000) * 10.0 ** rng.uniform(-5, 5, 30_000)
+            for _ in range(4)]
+    with tempfile.TemporaryDirectory() as tmp:
+        tracemalloc.start()
+        try:
+            path = cli._write_csv(Path(tmp) / "table.csv", list("abcd"),
+                                  *cols)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+    assert size > 2_000_000
+    assert peak < 0.25 * size, (peak, size)
