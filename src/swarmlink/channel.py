@@ -196,8 +196,8 @@ def apply_channel(symbols, fading: FadingParams, ebn0_db: float) -> np.ndarray:
     rng = np.random.default_rng(fading.seed)
     sigma = noise_sigma(ebn0_db)
     h = _fading_gain(rng, symbols.shape, fading)
-    return _receive(_complex_normal(rng, symbols.shape), h, h * symbols,
-                    sigma)
+    noise = _complex_normal(rng, symbols.shape)
+    return _receive(noise, h, h * symbols, sigma, noise)
 
 
 def _fading_gain(rng, shape, fading: FadingParams, imag_rng=None):
@@ -213,10 +213,10 @@ def _fading_gain(rng, shape, fading: FadingParams, imag_rng=None):
 
 
 def _receive(noise: np.ndarray, h, hs, sigma: float,
-             out: np.ndarray | None = None) -> np.ndarray:
-    """(h * s + sigma * noise) / h from ``hs`` = h * s, into ``out``, else
-    in place of ``noise``; s + noise / h rounds differently."""
-    out = np.multiply(noise, sigma, out=noise if out is None else out)
+             out: np.ndarray) -> np.ndarray:
+    """(h * s + sigma * noise) / h into ``out`` (which may be ``noise``),
+    given ``hs`` = h * s; s + noise / h rounds differently."""
+    np.multiply(noise, sigma, out=out)
     out += hs
     out /= h
     return out

@@ -227,8 +227,8 @@ def test_topology_streams_in_little_memory():
 
 
 def test_csv_streams_in_little_memory():
-    """30,000 rows of four float columns (2.3 MB): one block's cells and
-    text at a time, not 8,192 rows' worth."""
+    """30,000 rows of four float columns (2.3 MB): the writer holds one
+    block's cells and text at a time, well under the file's size."""
     rng = np.random.default_rng(30)
     cols = [rng.standard_normal(30_000) * 10.0 ** rng.uniform(-5, 5, 30_000)
             for _ in range(4)]
