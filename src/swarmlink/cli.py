@@ -359,6 +359,10 @@ def _channel(c: dict) -> dict:
                        2)
     _finite(*(channel.watts_to_dbm(model(c["link"], ends)) for model in (
         channel.friis_received_power, channel.two_ray_received_power)))
+    # ber.csv's ber_theory: K * Eb/N0 can overflow in the Rician form; the
+    # AWGN and Rayleigh forms are finite at every Eb/N0 noise_sigma accepts
+    if c["fading"].kind is channel.FadingKind.RICIAN:
+        _finite(channel.ber_qpsk_theoretical(c["fading"], c["ebn0_db"]))
     return c
 
 
@@ -436,8 +440,10 @@ def _berdist(b: dict) -> dict:
 
 
 # the most float64 values that one numpy array can hold: a count above it
-# cannot be sized, however much memory there is
+# cannot be sized, however much memory there is; np.arange, and so linspace
+# and logspace, cannot size the last 64 of them either
 _MAX_COUNT = np.iinfo(np.intp).max // 8
+_MAX_GRID = _MAX_COUNT - 64
 _CHECKS = {"dt": (lambda dt: dt > 0, "must be > 0"),
            "duration": (lambda d: d >= 0, "must be >= 0"),
            "wind.n_samples": (lambda n: 2 <= n <= _MAX_COUNT
@@ -463,9 +469,9 @@ _CHECKS = {"dt": (lambda dt: dt > 0, "must be > 0"),
                             "wind.sample_spacing"),
                            (lambda x: x > 0, "must be > 0")),
            **dict.fromkeys(("wind.n_omega", "channel.sweep.n", "berdist.n"),
-                           (lambda n: 0 <= n <= _MAX_COUNT,
-                            f"must lie in [0, {_MAX_COUNT}], the float64 "
-                            "values that numpy can size")),
+                           (lambda n: 0 <= n <= _MAX_GRID,
+                            f"must lie in [0, {_MAX_GRID}], the float64 "
+                            "grids that numpy can size")),
            "network.apf.max_steps": (lambda n: n >= 0, "must be >= 0")}
 _MAX_STEPS = np.iinfo(np.intp).max   # ticks of dynamics and formation
 _VEC3 = (0.0, 0.0, 0.0)

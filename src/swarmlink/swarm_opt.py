@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -86,56 +86,48 @@ class SearchSpace:
         return rng.uniform(self.lower, self.upper, size=(n, self.dim))
 
 
+# PSO: c1 = c2 = 2 (Kennedy & Eberhart, ICNN 1995) and an inertia weight
+# falling linearly (Shi & Eberhart, IEEE CEC 1998), without which the swarm
+# does not settle to high precision.
+PSO_C1 = PSO_C2 = 2.0
+PSO_INERTIA_START, PSO_INERTIA_END = 0.9, 0.4
+# WPA: step coefficient S, distance threshold, scouting repeats T_max and
+# renewal fraction beta (Wu & Zhang, Math. Probl. Eng. 2014); the values
+# are this toolkit's choices.
+WPA_STEP_COEFF = 0.1
+WPA_DISTANCE_THRESHOLD = 0.5
+WPA_SCOUT_MAX_REPEATS = 4
+WPA_RENEW_FRACTION = 0.2
+
+
 @dataclass(frozen=True)
 class PsoConfig:
-    """PSO settings.
-
-    ``paper_literal=True`` uses the bare update (no random factor on the
-    social term, no inertia damping). The default adds the social random
-    factor and a linearly decreasing inertia weight, without which the
-    swarm does not settle to high precision.
-    """
+    """PSO settings; the update's coefficients are the ``PSO_*`` constants."""
 
     n_particles: int = 40
-    c1: float = 2.0
-    c2: float = 2.0
     max_iters: int = 500
     seed: int = 0
-    paper_literal: bool = False
-    inertia_start: float = 0.9
-    inertia_end: float = 0.4
 
     def __post_init__(self):
         if self.n_particles < 2:
             raise ValueError("n_particles must be >= 2")
-        if self.c1 < 0 or self.c2 < 0:
-            raise ValueError("c1 and c2 must be >= 0")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 
 
 @dataclass(frozen=True)
 class WpaConfig:
-    """Wolf pack algorithm settings."""
+    """Wolf pack settings; its tuning values are the ``WPA_*`` constants."""
 
     n_wolves: int = 30
     max_iters: int = 500
-    step_coeff: float = 0.1
-    distance_threshold: float = 0.5
-    scout_max_repeats: int = 4
-    renew_fraction: float = 0.2
     seed: int = 0
 
     def __post_init__(self):
         if self.n_wolves < 3:
             raise ValueError("n_wolves must be >= 3")
-        if not 0 < self.renew_fraction < 1:
-            raise ValueError("renew_fraction must be in (0, 1)")
-        for name in ("step_coeff", "distance_threshold"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
-        if self.scout_max_repeats < 1 or self.max_iters < 1:
-            raise ValueError("iteration counts must be >= 1")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -183,34 +175,23 @@ def _evaluate(fitness: Fitness, points: np.ndarray) -> np.ndarray:
 
 def pso_step(positions: np.ndarray, velocities: np.ndarray,
              personal_bests: np.ndarray, global_best: np.ndarray,
-             config: PsoConfig, rng: np.random.Generator,
-             inertia: float = 1.0,
-             space: SearchSpace | None = None):
-    """One PSO velocity-and-position update.
-
-    Returns new ``(positions, velocities)``. The cognitive term always
-    carries a fresh uniform random vector R1; the social term carries R2
-    unless ``config.paper_literal``.
-    """
+             inertia: float, space: SearchSpace,
+             rng: np.random.Generator):
+    """One PSO update: v = inertia*v + PSO_C1*R1*(p - x) + PSO_C2*R2*(g - x)
+    with fresh uniform R1 and R2, clipped to the box's span per axis, and
+    x + v clamped to the box. Returns new ``(positions, velocities)``."""
     if positions.shape != velocities.shape or positions.shape != personal_bests.shape:
         raise ValueError("positions, velocities and personal_bests must share shape")
     if global_best.shape != positions.shape[1:]:
         raise ValueError("global_best dimension mismatch")
     r1 = rng.uniform(size=positions.shape)
-    cognitive = config.c1 * r1 * (personal_bests - positions)
-    if config.paper_literal:
-        social = config.c2 * (global_best - positions)
-    else:
-        r2 = rng.uniform(size=positions.shape)
-        social = config.c2 * r2 * (global_best - positions)
+    cognitive = PSO_C1 * r1 * (personal_bests - positions)
+    r2 = rng.uniform(size=positions.shape)
+    social = PSO_C2 * r2 * (global_best - positions)
     velocities = inertia * velocities + cognitive + social
-    if space is not None:
-        vmax = space.span  # keep one step from crossing the whole box twice
-        velocities = np.clip(velocities, -vmax, vmax)
-    positions = positions + velocities
-    if space is not None:
-        positions = space.clamp(positions)
-    return positions, velocities
+    vmax = space.span  # keep one step from crossing the whole box twice
+    velocities = np.clip(velocities, -vmax, vmax)
+    return space.clamp(positions + velocities), velocities
 
 
 def pso_optimize(fitness: Fitness, space: SearchSpace,
@@ -224,12 +205,11 @@ def pso_optimize(fitness: Fitness, space: SearchSpace,
     g = int(np.argmin(personal_values))
     run = OptimizerRun._start(personal_bests[g], personal_values[g])
     for it in range(config.max_iters):
-        inertia = 1.0 if config.paper_literal else (
-            config.inertia_start + it / max(config.max_iters - 1, 1)
-            * (config.inertia_end - config.inertia_start))
+        inertia = PSO_INERTIA_START + it / max(config.max_iters - 1, 1) * (
+            PSO_INERTIA_END - PSO_INERTIA_START)
         positions, velocities = pso_step(
-            positions, velocities, personal_bests, run.best_position,
-            config, rng, inertia=inertia, space=space)
+            positions, velocities, personal_bests, run.best_position, inertia,
+            space, rng)
         values = _evaluate(fitness, positions)
         improved = values < personal_values
         personal_bests[improved] = positions[improved]
@@ -287,26 +267,25 @@ def wpa_optimize(fitness: Fitness, space: SearchSpace,
                  config: WpaConfig) -> OptimizerRun:
     """Run the wolf pack algorithm.
 
-    Each iteration: non-lead wolves scout with small random probes, then
-    run toward the lead with the largest step until within the closing
-    distance, then besiege with a small step; winner-take-all replaces the
-    lead; the worst renew_fraction of the pack respawns near the best wolf.
+    Each iteration: non-lead wolves scout with small random probes, run toward
+    the lead with the largest step until within ``WPA_DISTANCE_THRESHOLD`` and
+    besiege with a small step; winner-take-all replaces the lead, and the worst
+    ``WPA_RENEW_FRACTION`` of the pack respawns near the best wolf.
 
-    Step sizes derive from ``step_coeff``: scouting uses
+    Step sizes derive from ``WPA_STEP_COEFF`` S: scouting uses
     S * span / dim, calling 4x that, besieging 0.5x (ordering per the
     behaviour description; exact ratios are a toolkit choice). Steps decay
     geometrically with iteration so late besieging can refine the optimum.
     """
     rng = np.random.default_rng(config.seed)
-    n = config.n_wolves
     dim = space.dim
-    base_step = config.step_coeff * np.mean(space.span) / dim
-    positions = space.sample(rng, n)
+    base_step = WPA_STEP_COEFF * np.mean(space.span) / dim
+    positions = space.sample(rng, config.n_wolves)
     values = _evaluate(fitness, positions)
     lead = int(np.argmin(values))
     run = OptimizerRun._start(positions[lead], values[lead])
-    n_renew = math.ceil(config.renew_fraction * n)
-    half = config.distance_threshold
+    n_renew = math.ceil(WPA_RENEW_FRACTION * config.n_wolves)
+    half = WPA_DISTANCE_THRESHOLD
 
     def probe(i: int, step: float) -> bool:
         """A unit random step from wolf i, kept if better; False if zero."""
@@ -322,18 +301,18 @@ def wpa_optimize(fitness: Fitness, space: SearchSpace,
 
     for it in range(config.max_iters):
         scout_step = base_step * 0.99 ** it
-        for i in range(n):
+        for i in range(config.n_wolves):
             if i == lead:
                 continue
             # scouting: directed probes, keep the first improving one
-            for _ in range(config.scout_max_repeats):
+            for _ in range(WPA_SCOUT_MAX_REPEATS):
                 if probe(i, scout_step) and values[i] < values[lead]:
                     break
-            # calling: run toward the lead until within distance_threshold
+            # calling: run toward the lead until within the threshold
             while values[i] >= values[lead]:
                 gap = positions[lead] - positions[i]
                 dist = math.sqrt(gap.dot(gap))
-                if dist <= config.distance_threshold:
+                if dist <= WPA_DISTANCE_THRESHOLD:
                     break
                 move = min(4.0 * scout_step, dist)
                 positions[i] = space.clamp(positions[i] + move * gap / dist)

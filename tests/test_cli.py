@@ -10,7 +10,7 @@ import operator
 import re
 import tempfile
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -246,16 +246,26 @@ def test_config_too_large_to_allocate_one_line_exit_1(
 
 
 def test_largest_counts_numpy_can_size_pass_validate(config_dict):
-    """The count rule stops where numpy's float64 arrays do, not below:
-    these fail to allocate at run time, as above, with one line."""
+    """The count rule stops where numpy's float64 arrays and grids do, not
+    below: these fail to allocate at run time, as above, with one line."""
     largest = np.iinfo(np.intp).max // 8
-    for field, value in (("wind.n_omega", largest),
-                         ("channel.sweep.n", largest),
-                         ("berdist.n", largest),
+    for field, value in (("wind.n_omega", largest - 64),
+                         ("channel.sweep.n", largest - 64),
+                         ("berdist.n", largest - 64),
                          ("wind.n_samples", 1 << largest.bit_length() - 1)):
         config = copy.deepcopy(config_dict)
         _set(config, field, value)
         assert validate_config(config) == [], field
+
+
+def test_grid_bound_is_numpys():
+    """The largest grid count that validate accepts is the largest that
+    numpy can size: the next one cannot be sized, and neither allocates."""
+    bound = cli._MAX_GRID
+    with pytest.raises(MemoryError):
+        np.linspace(0.0, 1.0, bound)
+    with pytest.raises(ValueError, match="array is too big"):
+        np.linspace(0.0, 1.0, bound + 1)
 
 
 def test_wind_rerun_byte_identical(tmp_path, config_dict):
@@ -418,6 +428,11 @@ MALFORMED = [
     ("wind", "wind.n_omega", 2 ** 60, "wind.n_omega"),
     ("channel", "channel.sweep.n", 2 ** 63 - 1, "channel.sweep.n"),
     ("berdist", "berdist.n", 2 ** 63 - 1, "berdist.n"),
+    # each passed validate, then exited 1 with "array is too big": np.arange
+    # cannot size the last 64 float64 counts (test_grid_bound_is_numpys)
+    ("wind", "wind.n_omega", 2 ** 60 - 1, "wind.n_omega"),
+    ("channel", "channel.sweep.n", 2 ** 60 - 1, "channel.sweep.n"),
+    ("berdist", "berdist.n", 2 ** 60 - 1, "berdist.n"),
     ("wind", "wind.n_samples", 2 ** 60, "wind.n_samples"),
     ("wind", "wind.n_samples", 2 ** 1023, "wind.n_samples"),
     ("channel", "channel.ebn0_db", [4000], "channel.ebn0_db[0]"),
@@ -492,6 +507,9 @@ MALFORMED = [
     # library checks that no other test reaches
     ("channel", "channel.link.tx_gain", 0, "channel.link"),
     ("channel", "channel.fading.rician_k", -1, "channel.fading"),
+    # passed validate, then the analytic BER's K * Eb/N0 overflowed
+    ("channel", "channel.fading", {"kind": "rician", "rician_k": 1e308},
+     "channel.fading"),
     ("formation", "formation.gains.ki", -1, "formation.gains"),
     ("wind", "wind.sigma", [-1, 1, 1], "wind"),
     *(("optimize", "optimize", {"algorithm": algorithm, "max_iters": 0},
@@ -576,6 +594,15 @@ def test_malformed_config_one_line_exit_2(tmp_path, config_dict, capsys,
     assert main(["validate", "--config", path]) == EXIT_INVALID
 
 
+def test_optimizer_settings_are_scenario_keys():
+    """Every optimizer setting but the derived seed is a key of the
+    optimize section, so a scenario can set it."""
+    for config in (swarm_opt.PsoConfig, swarm_opt.GwoConfig,
+                   swarm_opt.WpaConfig):
+        settable = {f.name for f in fields(config)} - {"seed"}
+        assert settable <= set(cli._SWARM_SIZES), config.__name__
+
+
 # (a pattern of the message, call that must raise it): the library checks
 # on values that the config schema never passes on, by type or by an
 # earlier check
@@ -596,15 +623,14 @@ LIBRARY_ONLY = [
     ("[|]rho[|] must be", lambda: linkbudget.output_impedance(1.0, 50.0)),
     ("lower and upper must be", lambda: swarm_opt.SearchSpace(
         lower=[0.0, 0.0], upper=[1.0])),
-    *(("c1 and c2 must be", lambda c=c: swarm_opt.PsoConfig(**c))
-      for c in ({"c1": -1.0}, {"c2": -1.0})),
-    ("iteration counts", lambda: swarm_opt.WpaConfig(scout_max_repeats=0)),
     ("positions, velocities", lambda: swarm_opt.pso_step(
         np.zeros((3, 2)), np.zeros((3, 1)), np.zeros((3, 2)), np.zeros(2),
-        swarm_opt.PsoConfig(), np.random.default_rng(0))),
+        1.0, swarm_opt.SearchSpace([0.0, 0.0], [1.0, 1.0]),
+        np.random.default_rng(0))),
     ("global_best", lambda: swarm_opt.pso_step(
         np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((3, 2)), np.zeros(3),
-        swarm_opt.PsoConfig(), np.random.default_rng(0))),
+        1.0, swarm_opt.SearchSpace([0.0, 0.0], [1.0, 1.0]),
+        np.random.default_rng(0))),
 ]
 
 

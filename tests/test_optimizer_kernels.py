@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from swarmlink import channel
+from swarmlink import channel, swarm_opt
 from swarmlink.channel import FadingKind, FadingParams
 from swarmlink.swarm_opt import (GwoConfig, PsoConfig, SearchSpace, WpaConfig,
                                  gwo_optimize, gwo_step, pso_optimize,
@@ -64,19 +64,13 @@ def reference_pso(fitness, space, config):
     best_value = float(personal_values[g])
     trace = [best_value]
     for it in range(config.max_iters):
-        if config.paper_literal:
-            inertia = 1.0
-        else:
-            frac = it / max(config.max_iters - 1, 1)
-            inertia = config.inertia_start + frac * (config.inertia_end
-                                                     - config.inertia_start)
+        frac = it / max(config.max_iters - 1, 1)
+        inertia = swarm_opt.PSO_INERTIA_START + frac * (
+            swarm_opt.PSO_INERTIA_END - swarm_opt.PSO_INERTIA_START)
         r1 = rng.uniform(size=positions.shape)
-        cognitive = config.c1 * r1 * (personal_bests - positions)
-        if config.paper_literal:
-            social = config.c2 * (best_position - positions)
-        else:
-            r2 = rng.uniform(size=positions.shape)
-            social = config.c2 * r2 * (best_position - positions)
+        cognitive = swarm_opt.PSO_C1 * r1 * (personal_bests - positions)
+        r2 = rng.uniform(size=positions.shape)
+        social = swarm_opt.PSO_C2 * r2 * (best_position - positions)
         velocities = inertia * velocities + cognitive + social
         velocities = np.clip(velocities, -space.span, space.span)
         positions = reference_clamp(space, positions + velocities)
@@ -118,7 +112,7 @@ def reference_wpa(fitness, space, config):
     rng = np.random.default_rng(config.seed)
     n = config.n_wolves
     dim = space.dim
-    base_step = config.step_coeff * np.mean(space.span) / dim
+    base_step = swarm_opt.WPA_STEP_COEFF * np.mean(space.span) / dim
     positions = space.sample(rng, n)
     values = np.array([fitness(p) for p in positions])
     lead = int(np.argmin(values))
@@ -132,7 +126,7 @@ def reference_wpa(fitness, space, config):
         for i in range(n):
             if i == lead:
                 continue
-            for _ in range(config.scout_max_repeats):
+            for _ in range(swarm_opt.WPA_SCOUT_MAX_REPEATS):
                 direction = rng.standard_normal(dim)
                 norm = np.linalg.norm(direction)
                 if norm == 0:
@@ -148,7 +142,7 @@ def reference_wpa(fitness, space, config):
             while values[i] >= values[lead]:
                 gap = positions[lead] - positions[i]
                 dist = np.linalg.norm(gap)
-                if dist <= config.distance_threshold:
+                if dist <= swarm_opt.WPA_DISTANCE_THRESHOLD:
                     break
                 move = min(call_step, dist)
                 positions[i] = reference_clamp(
@@ -169,10 +163,10 @@ def reference_wpa(fitness, space, config):
         if values[lead] < best_value:
             best_value = float(values[lead])
             best_position = positions[lead].copy()
-        n_renew = math.ceil(config.renew_fraction * n)
+        n_renew = math.ceil(swarm_opt.WPA_RENEW_FRACTION * n)
         worst = np.argsort(values, kind="stable")[::-1]
         worst = [int(w) for w in worst if int(w) != lead][:n_renew]
-        half = config.distance_threshold
+        half = swarm_opt.WPA_DISTANCE_THRESHOLD
         for w in worst:
             positions[w] = reference_clamp(
                 space, positions[lead] + rng.uniform(-half, half, size=dim))
@@ -322,11 +316,10 @@ runs = dict(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 20),
 
 
 @settings(max_examples=25, deadline=None)
-@given(**runs, literal=st.booleans())
-def test_pso_run_matches_parent(seed, dim, lower, width, which, literal):
+@given(**runs)
+def test_pso_run_matches_parent(seed, dim, lower, width, which):
     space = _space(dim, lower, width)
-    config = PsoConfig(n_particles=6, max_iters=15, seed=seed,
-                       paper_literal=literal)
+    config = PsoConfig(n_particles=6, max_iters=15, seed=seed)
     run = pso_optimize(which[0], space, config)
     position, trace = reference_pso(which[1], space, config)
     assert bits(run.trace) == bits(trace)

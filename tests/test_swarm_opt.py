@@ -3,9 +3,10 @@ convergence, monotonicity and determinism properties."""
 import numpy as np
 import pytest
 
-from swarmlink.swarm_opt import (GwoConfig, PsoConfig, SearchSpace, WpaConfig,
-                                 gwo_optimize, gwo_step, pso_optimize,
-                                 pso_step, rastrigin, sphere, wpa_optimize)
+from swarmlink.swarm_opt import (PSO_C1, PSO_C2, GwoConfig, PsoConfig,
+                                 SearchSpace, WpaConfig, gwo_optimize,
+                                 gwo_step, pso_optimize, pso_step, rastrigin,
+                                 sphere, wpa_optimize)
 
 SPACE_10 = SearchSpace(lower=np.full(10, -5.0), upper=np.full(10, 5.0))
 SPACE_5 = SearchSpace(lower=np.full(5, -5.0), upper=np.full(5, 5.0))
@@ -35,35 +36,23 @@ def test_search_space_helpers():
 
 def test_pso_step_scalar_replay():
     """Replay one PSO update by drawing the same random numbers from an
-    identically seeded generator."""
-    config = PsoConfig(n_particles=2, c1=1.5, c2=2.5, seed=0)
+    identically seeded generator, in a box wide enough that neither the
+    velocity clip nor the position clamp binds."""
+    space = SearchSpace(lower=[-100.0], upper=[100.0])
     positions = np.array([[1.0], [2.0]])
     velocities = np.array([[0.1], [-0.2]])
     pbest = np.array([[0.5], [1.5]])
     gbest = np.array([0.0])
     rng = np.random.default_rng(123)
-    new_p, new_v = pso_step(positions, velocities, pbest, gbest, config,
-                            rng, inertia=0.7)
+    new_p, new_v = pso_step(positions, velocities, pbest, gbest, 0.7, space,
+                            rng)
     oracle = np.random.default_rng(123)
     r1 = oracle.uniform(size=(2, 1))
     r2 = oracle.uniform(size=(2, 1))
-    v_expect = (0.7 * velocities + 1.5 * r1 * (pbest - positions)
-                + 2.5 * r2 * (gbest - positions))
+    v_expect = (0.7 * velocities + PSO_C1 * r1 * (pbest - positions)
+                + PSO_C2 * r2 * (gbest - positions))
     np.testing.assert_allclose(new_v, v_expect, rtol=1e-15)
     np.testing.assert_allclose(new_p, positions + v_expect, rtol=1e-15)
-
-
-def test_pso_step_paper_literal_drops_social_randomness():
-    config = PsoConfig(n_particles=2, c1=2.0, c2=2.0, seed=0,
-                       paper_literal=True)
-    positions = np.array([[1.0], [2.0]])
-    velocities = np.zeros((2, 1))
-    pbest = positions.copy()  # cognitive term vanishes
-    gbest = np.array([0.0])
-    rng = np.random.default_rng(5)
-    _, new_v = pso_step(positions, velocities, pbest, gbest, config, rng)
-    # social term is deterministic: c2 * (gbest - x)
-    np.testing.assert_allclose(new_v, 2.0 * (gbest - positions), rtol=1e-15)
 
 
 def test_gwo_step_scalar_replay():
@@ -161,10 +150,6 @@ def test_config_validation():
         GwoConfig(n_wolves=3)
     with pytest.raises(ValueError):
         WpaConfig(n_wolves=2)
-    with pytest.raises(ValueError):
-        WpaConfig(renew_fraction=1.0)
-    with pytest.raises(ValueError):
-        WpaConfig(step_coeff=0.0)
 
 
 @pytest.mark.parametrize("lower,upper", [
