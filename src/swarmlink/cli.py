@@ -478,7 +478,7 @@ _VEC3 = (0.0, 0.0, 0.0)
 
 
 def _uav():
-    return swarmlink.dynamics.UavParams(mass=1.0, thrust_coeff=1e-5)
+    return swarmlink.dynamics.UavParams(mass=1.0)
 
 
 def _link():

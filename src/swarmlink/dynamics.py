@@ -1,5 +1,5 @@
-"""Quadrotor rigid-body model (X-flyer) with rotor thrust, drag torque and
-PD/PID control primitives.
+"""Quadrotor rigid-body model (X-flyer): the state, physical constants and
+PD gains, and the semi-implicit Euler step that the flights advance.
 
 All functions are pure: they take value types and return new values, so they
 are safe to call from any number of threads. :func:`step_states` advances N
@@ -7,7 +7,6 @@ bodies held as (N, 3) arrays in one pass, or one body held as (3,) arrays.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,12 +16,8 @@ __all__ = [
     "UavParams",
     "PidGains",
     "normalize_angle",
-    "rotor_thrust",
-    "rotor_spin_dynamics",
     "step_state",
     "step_states",
-    "pid_control",
-    "hover_rotor_speed",
 ]
 
 
@@ -67,62 +62,28 @@ class UavState:
 
 @dataclass(frozen=True)
 class UavParams:
-    """Physical constants of one quadrotor.
-
-    Note: the drag torque used by :func:`rotor_spin_dynamics` is the bare
-    ``0.5 * air_density * v**2`` expression (no area or drag-coefficient
-    factor), which is dimensionally odd but kept for model fidelity. The
-    full airflow drag force lives in :mod:`swarmlink.wind`.
-    """
+    """Physical constants of one quadrotor: its mass and the gravitational
+    acceleration that its thrust works against."""
 
     mass: float
-    thrust_coeff: float
     gravity: float = 9.81
-    rotor_inertia: float = 1.0e-4
-    air_density: float = 1.225
 
     def __post_init__(self):
-        for name in ("mass", "thrust_coeff", "gravity", "rotor_inertia",
-                     "air_density"):
+        for name in ("mass", "gravity"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
 
 
 @dataclass(frozen=True)
 class PidGains:
-    """Conventional PID gains: kp on the proportional term, kd on the
-    derivative term, ki on the integral term."""
+    """PD gains: kp on the position error, kd on the velocity error."""
 
     kp: float
     kd: float
-    ki: float = 0.0
 
     def __post_init__(self):
         if self.kp <= 0 or self.kd <= 0:
             raise ValueError("kp and kd must be > 0")
-        if self.ki < 0:
-            raise ValueError("ki must be >= 0")
-
-
-def rotor_thrust(params: UavParams, omega: float) -> float:
-    """Thrust of one rotor spinning at ``omega`` rad/s: k * omega**2."""
-    if omega < 0:
-        raise ValueError("rotor speed must be non-negative")
-    return params.thrust_coeff * omega * omega
-
-
-def hover_rotor_speed(params: UavParams) -> float:
-    """Per-rotor speed at which four equal rotors exactly balance weight."""
-    return math.sqrt(params.mass * params.gravity / (4.0 * params.thrust_coeff))
-
-
-def rotor_spin_dynamics(params: UavParams, omega: float, motor_torque: float,
-                        airflow_speed: float) -> float:
-    """Angular acceleration of a rotor: (tau - 0.5*rho*v**2) / I_rot."""
-    if omega < 0:
-        raise ValueError("rotor speed must be non-negative")
-    drag = 0.5 * params.air_density * airflow_speed * airflow_speed
-    return (motor_torque - drag) / params.rotor_inertia
 
 
 def _linear_accels(euler: np.ndarray, thrust: np.ndarray,
@@ -170,9 +131,3 @@ def step_state(state: UavState, thrust, moments, params: UavParams,
                                  state.euler_rates, thrust, moments, params,
                                  dt))
 
-
-def pid_control(error: float, error_rate: float, error_integral: float,
-                gains: PidGains) -> float:
-    """PID command: kp*e + kd*de/dt + ki*integral(e)."""
-    return (gains.kp * error + gains.kd * error_rate
-            + gains.ki * error_integral)

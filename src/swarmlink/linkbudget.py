@@ -25,7 +25,6 @@ import numpy as np
 from .channel import LinkParams, erfc, friis_received_power, watts_to_dbm
 
 __all__ = [
-    "SPEED_OF_LIGHT",
     "BudgetMode",
     "PRINTED_TOTALS",
     "TEXT_VALUES",
@@ -35,7 +34,6 @@ __all__ = [
     "AntennaSpec",
     "BudgetConfig",
     "path_loss_db",
-    "wavelength",
     "noise_figure",
     "noise_power_dbm",
     "vswr_to_reflection",
@@ -49,9 +47,6 @@ __all__ = [
     "reference_budget_config",
     "reference_ber_distance_link",
 ]
-
-# Round value used by the source material, kept for exact reproduction.
-SPEED_OF_LIGHT = 3.0e8
 
 
 class BudgetMode(enum.Enum):
@@ -171,13 +166,6 @@ def path_loss_db(wavelength_m: float, distance: float) -> float:
     if wavelength_m <= 0 or distance <= 0:
         raise ValueError("wavelength and distance must be > 0")
     return 20.0 * math.log10(wavelength_m / (4.0 * math.pi * distance))
-
-
-def wavelength(freq_hz: float) -> float:
-    """Wavelength with c = 3e8 m/s (the round value the tables use)."""
-    if freq_hz <= 0:
-        raise ValueError("frequency must be > 0")
-    return SPEED_OF_LIGHT / freq_hz
 
 
 def noise_figure(te: float, to: float,

@@ -1,5 +1,5 @@
-"""Atmospheric turbulence spectra (Dryden / Von Karman), turbulence
-time-series synthesis, wind-shear response split and airflow drag force.
+"""Atmospheric turbulence spectra (Dryden / Von Karman) and turbulence
+time-series synthesis.
 
 Spectra are two-sided densities over spatial frequency Omega (rad/m): for
 every component the integral of the density over the whole real line
@@ -16,15 +16,12 @@ import numpy as np
 __all__ = [
     "TurbulenceModel",
     "TurbulenceSpec",
-    "WindShearCoeff",
     "dryden_psd",
     "von_karman_psd",
     "turbulence_psd",
     "probe_bins",
     "synthesis_gain",
     "synthesize_turbulence",
-    "wind_shear_response",
-    "airflow_drag_force",
 ]
 
 VON_KARMAN_A = 1.339
@@ -61,18 +58,6 @@ class TurbulenceSpec:
         except ValueError:
             raise ValueError(f"component must be one of {_COMPONENTS}") from None
         return self.sigma[i], self.length[i]
-
-
-@dataclass(frozen=True)
-class WindShearCoeff:
-    """Scalar coupling between a mean-wind change and the ground-speed
-    change of the vehicle; |p| < 1."""
-
-    p: float
-
-    def __post_init__(self):
-        if abs(self.p) >= 1:
-            raise ValueError("|p| must be < 1")
 
 
 def dryden_psd(spec: TurbulenceSpec, component: str, omega):
@@ -184,22 +169,3 @@ def synthesize_turbulence(spec: TurbulenceSpec, component: str,
     spectrum[0] = 0.0
     return np.fft.irfft(spectrum, n=n_samples)
 
-
-def wind_shear_response(coeff: WindShearCoeff,
-                        delta_vw: float) -> tuple[float, float]:
-    """Split a mean-wind change into (ground-speed, airspeed) changes:
-    (p * dVw, (1 - p) * dVw). The two parts always sum to ``delta_vw``."""
-    dvg = coeff.p * delta_vw
-    return dvg, delta_vw - dvg
-
-
-def airflow_drag_force(air_density: float, airflow_speed: float,
-                       drag_coeff: float, windward_area: float) -> float:
-    """Airflow force rho * v**2 * C_D * S.
-
-    Deliberately lacks the 1/2 factor of the textbook drag equation; the
-    bare product is the model reproduced here.
-    """
-    if min(air_density, airflow_speed, drag_coeff, windward_area) < 0:
-        raise ValueError("all inputs must be non-negative")
-    return air_density * airflow_speed ** 2 * drag_coeff * windward_area

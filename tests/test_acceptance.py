@@ -20,7 +20,7 @@ from swarmlink.simulate import (simulate_formation, simulate_position_hold,
                                 straight_line_leader)
 from test_network import _bfs_reachable, _brute_force_shortest, _random_graph
 
-PARAMS = UavParams(mass=1.0, thrust_coeff=1e-5)
+PARAMS = UavParams(mass=1.0)
 
 
 def _verdict(capsys, num, desc, check):

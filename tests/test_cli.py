@@ -17,10 +17,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from swarmlink import (channel, cli, dynamics, formation, linkbudget,
-                       swarm_opt)
+from swarmlink import channel, cli, formation, linkbudget, swarm_opt
 from swarmlink.cli import (EXIT_ERROR, EXIT_INVALID, EXIT_OK, derive_seed,
                            main, parse_config, validate_config)
+from test_golden import _VARIANTS
 
 REPO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "reference.json"
 
@@ -510,7 +510,6 @@ MALFORMED = [
     # passed validate, then the analytic BER's K * Eb/N0 overflowed
     ("channel", "channel.fading", {"kind": "rician", "rician_k": 1e308},
      "channel.fading"),
-    ("formation", "formation.gains.ki", -1, "formation.gains"),
     ("wind", "wind.sigma", [-1, 1, 1], "wind"),
     *(("optimize", "optimize", {"algorithm": algorithm, "max_iters": 0},
        "optimize") for algorithm in ("pso", "gwo", "wpa")),
@@ -609,8 +608,6 @@ def test_optimizer_settings_are_scenario_keys():
 LIBRARY_ONLY = [
     ("distance must be", lambda: channel.two_ray_received_power(
         cli._link(), 0.0)),
-    ("rotor speed", lambda: dynamics.rotor_spin_dynamics(
-        cli._uav(), -1.0, 0.0, 0.0)),
     ("position must be", lambda: formation.Pose((1.0, 2.0))),
     ("offset must be", lambda: formation.FormationSpec(
         formation.FormationMode.FIXED_GLOBAL_DIFFERENCE, (math.inf, 0, 0))),
@@ -646,7 +643,10 @@ def test_unknown_keys_warn_one_line_each(tmp_path, config_dict, capsys):
     config_dict["formation"]["edges"][0][2]["ofset"] = [1, 2, 3]
     config_dict["sed"] = 3
     # fields that nothing read, deleted from the schema and the classes
-    config_dict["dynamics"].setdefault("params", {})["rotor_disc_area"] = 0.05
+    config_dict["dynamics"].setdefault("params", {}).update(
+        rotor_disc_area=0.05, thrust_coeff=1e-5, rotor_inertia=1e-4,
+        air_density=1.225)
+    config_dict["formation"].setdefault("gains", {})["ki"] = 0.5
     config_dict["wind"]["shear_p"] = 0.4
     config_dict["budget"]["antenna"] = {
         "freq_low": 2.2e9, "freq_high": 2.4e9, "rx_threshold_dbm": -85.0}
@@ -659,8 +659,12 @@ def test_unknown_keys_warn_one_line_each(tmp_path, config_dict, capsys):
         for key in ("budget.antenna.freq_high", "budget.antenna.freq_low",
                     "budget.antenna.rx_threshold_dbm",
                     "budget.printed_totals.eirp",
+                    "dynamics.params.air_density",
                     "dynamics.params.rotor_disc_area",
-                    "formation.edges[0][2].ofset", "optimize.n_particle",
+                    "dynamics.params.rotor_inertia",
+                    "dynamics.params.thrust_coeff",
+                    "formation.edges[0][2].ofset", "formation.gains.ki",
+                    "optimize.n_particle",
                     "sed", "wind.shear_p")]
 
 
@@ -860,12 +864,13 @@ SMALL_SIZES = {"wind.n_samples": 64, "wind.n_omega": 16, "optimize.dim": 3,
                "channel.sweep.n": 10, "network.apf.max_steps": 500}
 
 
-def _small_config(subcommand: str) -> dict:
-    """configs/reference.json's section for ``subcommand`` with its sizes
+def _small_config(subcommand: str, scenario: str = "reference") -> dict:
+    """configs/<scenario>.json's section for ``subcommand`` with its sizes
     capped; the written-out ledger for budget and a written link for
     berdist."""
     link, data_rate, noise = linkbudget.reference_ber_distance_link()
-    sections = {**json.loads(REPO_CONFIG.read_text()), "budget": LEDGER,
+    text = REPO_CONFIG.with_name(f"{scenario}.json").read_text()
+    sections = {**json.loads(text), "budget": LEDGER,
                 "berdist": {"use_reference": False, "link": asdict(link),
                             "data_rate": data_rate, "noise_power_dbm": noise,
                             "d_min": 100.0, "d_max": 10000.0, "n": 20}}
@@ -873,8 +878,12 @@ def _small_config(subcommand: str) -> dict:
     config = {"seed": 1, "dt": 0.01, "duration": 0.5,
               subcommand: json.loads(json.dumps(sections[subcommand]))}
     for field, size in SMALL_SIZES.items():
-        if field.startswith(f"{subcommand}."):
-            _set(config, field, copy.deepcopy(size))
+        *parents, key = field.split(".")
+        if parents[0] == subcommand:
+            # a variant may leave out the object that holds the size
+            node = functools.reduce(lambda node, parent: node.setdefault(
+                parent, {}), parents, config)
+            node[key] = copy.deepcopy(size)
     return config
 
 
@@ -897,10 +906,16 @@ def _numeric_paths(node, prefix=()):
         yield from _numeric_paths(child, (*prefix, key))
 
 
-# (subcommand, path of one numeric field, the value it is set to)
+# (subcommand, configs/<scenario>.json, path of one numeric field, the
+# value it is set to): every subcommand on the reference scenario, and the
+# variants' subcommands on their sections, which reach the branches the
+# reference does not (test_golden's _VARIANTS)
 RUN_CASES = [
-    (sub, path, value)
-    for sub in RUN_SUBCOMMANDS for path in _numeric_paths(_small_config(sub))
+    (sub, scenario, path, value)
+    for sub, scenario in [*((sub, "reference") for sub in RUN_SUBCOMMANDS),
+                          *((sub, variant) for variant, subs
+                            in _VARIANTS.items() for sub in subs)]
+    for path in _numeric_paths(_small_config(sub, scenario))
     for value in ((0, 1, 2, 3) if path[-1] in SIZE_FIELDS else EXTREMES)]
 
 
@@ -912,10 +927,12 @@ def _main(argv) -> tuple[int, list[str]]:
     return code, err.getvalue().splitlines()
 
 
-def _check_run_case(subcommand: str, path: tuple, value) -> None:
-    """Set one field of the subcommand's small config to ``value`` and run
-    validate and the subcommand, in both modes where they differ."""
-    config = _small_config(subcommand)
+def _check_run_case(subcommand: str, scenario: str, path: tuple,
+                    value) -> None:
+    """Set one field of the subcommand's small config of ``scenario`` to
+    ``value`` and run validate and the subcommand, in both modes where they
+    differ."""
+    config = _small_config(subcommand, scenario)
     functools.reduce(operator.getitem, path[:-1], config)[path[-1]] = value
     modes = ("paper", "corrected") if subcommand in ("budget", "berdist") \
         else ("paper",)
@@ -960,7 +977,7 @@ def test_run_fuzz_one_line_or_finite_outputs():
 def test_run_case_leaves_the_small_config_alone():
     """A case sets its value in its own copy: the next case of the same
     section starts from the small config again."""
-    _check_run_case("channel", ("channel", "ebn0_db", 0), 1e308)
+    _check_run_case("channel", "reference", ("channel", "ebn0_db", 0), 1e308)
     assert _small_config("channel")["channel"]["ebn0_db"] == [0, 4]
 
 

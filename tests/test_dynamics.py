@@ -6,11 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from swarmlink.dynamics import (PidGains, UavParams, UavState,
-                                hover_rotor_speed, normalize_angle,
-                                pid_control, rotor_thrust,
-                                rotor_spin_dynamics, step_states)
+                                normalize_angle, step_states)
 
-PARAMS = UavParams(mass=1.0, thrust_coeff=1e-5)
+PARAMS = UavParams(mass=1.0)
 ZERO = np.zeros(3)
 
 
@@ -43,29 +41,6 @@ def test_normalize_angle_range_and_congruence(angle):
     # wrapped differs from the input by an integer multiple of 2*pi
     k = (angle - wrapped) / (2 * np.pi)
     assert abs(k - round(k)) < 1e-6
-
-
-def test_rotor_thrust_quadratic():
-    assert rotor_thrust(PARAMS, 0.0) == 0.0
-    assert rotor_thrust(PARAMS, 100.0) == pytest.approx(1e-5 * 100.0 ** 2)
-    # doubling speed quadruples thrust
-    assert rotor_thrust(PARAMS, 200.0) == pytest.approx(
-        4.0 * rotor_thrust(PARAMS, 100.0))
-
-
-def test_hover_rotor_speed_balances_weight():
-    omega = hover_rotor_speed(PARAMS)
-    total = 4.0 * rotor_thrust(PARAMS, omega)
-    assert total == pytest.approx(PARAMS.mass * PARAMS.gravity, rel=1e-12)
-
-
-def test_rotor_spin_dynamics_signs():
-    # no torque, moving air -> decelerates; torque above drag -> accelerates
-    assert rotor_spin_dynamics(PARAMS, 100.0, 0.0, 2.0) < 0
-    drag = 0.5 * PARAMS.air_density * 4.0
-    assert rotor_spin_dynamics(PARAMS, 100.0, drag, 2.0) == pytest.approx(0.0)
-    assert rotor_spin_dynamics(PARAMS, 100.0, 1.0, 0.0) == pytest.approx(
-        1.0 / PARAMS.rotor_inertia)
 
 
 def test_hover_is_fixed_point():
@@ -139,21 +114,11 @@ def test_step_states_deterministic():
         assert np.array_equal(x, y)
 
 
-def test_pid_control_terms():
-    gains = PidGains(kp=2.0, kd=3.0, ki=0.5)
-    assert pid_control(1.0, 0.0, 0.0, gains) == 2.0
-    assert pid_control(0.0, 1.0, 0.0, gains) == 3.0
-    assert pid_control(0.0, 0.0, 1.0, gains) == 0.5
-    assert pid_control(1.0, 1.0, 1.0, gains) == 5.5
-
-
 def test_validation_errors():
     with pytest.raises(ValueError):
-        UavParams(mass=-1.0, thrust_coeff=1e-5)
+        UavParams(mass=-1.0)
     with pytest.raises(ValueError):
         PidGains(kp=0.0, kd=1.0)
-    with pytest.raises(ValueError):
-        rotor_thrust(PARAMS, -1.0)
     with pytest.raises(ValueError):
         UavState(position=np.zeros(2), velocity=np.zeros(3),
                  euler=np.zeros(3), euler_rates=np.zeros(3))

@@ -17,7 +17,7 @@ from swarmlink.formation import (MAX_DT, FormationMode, FormationSpec, Pose,
                                  RoleGraph, follower_targets, movement_step,
                                  movement_steps)
 
-PARAMS = UavParams(mass=1.0, thrust_coeff=1e-5)
+PARAMS = UavParams(mass=1.0)
 GAINS = PidGains(kp=16.0, kd=8.0)
 DT = 0.01
 
@@ -194,7 +194,7 @@ def test_position_hold_equals_per_tick_loop(position, velocity, euler,
                      euler_rates=np.array(euler_rates))
     pose = Pose(position=target, heading=heading)
     gains = PidGains(kp=kp, kd=kd)
-    params = UavParams(mass=mass, thrust_coeff=1e-5)
+    params = UavParams(mass=mass)
     times, positions = simulate.simulate_position_hold(
         start, pose, gains, params, DT, n_steps * DT)
     expected_times, expected = oracle_position_hold(
@@ -308,7 +308,7 @@ def oracle_tick(position, velocity, euler, rates, target, heading, gains,
        st.floats(0.2, 5.0), st.floats(1e-4, 0.04))
 def test_kernel_tick_matches_scalar_oracle(rows, kp, kd, mass, dt):
     gains = PidGains(kp=kp, kd=kd)
-    params = UavParams(mass=mass, thrust_coeff=1e-5)
+    params = UavParams(mass=mass)
     state = [rows[name] for name in ("position", "velocity", "euler",
                                      "euler_rates")]
     thrust, moments = movement_steps(*state, rows["target_positions"],

@@ -13,7 +13,7 @@ from swarmlink.formation import (FormationMode, FormationSpec, Pose,
 from swarmlink.simulate import (FormationTrace, simulate_formation,
                                 simulate_position_hold, straight_line_leader)
 
-PARAMS = UavParams(mass=1.0, thrust_coeff=1e-5)
+PARAMS = UavParams(mass=1.0)
 GAINS = PidGains(kp=36.0, kd=9.0)
 
 finite = st.floats(-100.0, 100.0, allow_nan=False)

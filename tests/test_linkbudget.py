@@ -12,15 +12,7 @@ from swarmlink.linkbudget import (BudgetMode, Discrepancy,
                                   noise_power_dbm, output_impedance,
                                   path_loss_db, reference_antenna,
                                   reference_ber_distance_link,
-                                  reference_budget_config, vswr_to_reflection,
-                                  wavelength)
-
-
-def test_wavelength_uses_round_c():
-    assert wavelength(2.4e9) == pytest.approx(0.125, rel=1e-15)
-    assert wavelength(3.0e8) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        wavelength(0.0)
+                                  reference_budget_config, vswr_to_reflection)
 
 
 def test_path_loss_hand_value():

@@ -1,5 +1,5 @@
-"""Wind module tests: spectral values against hand-computed oracles, a
-Welch periodogram oracle for the synthesizer, and shear/drag identities."""
+"""Wind module tests: spectral values against hand-computed oracles and a
+Welch periodogram oracle for the synthesizer."""
 import itertools
 import math
 import tracemalloc
@@ -10,11 +10,9 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 from scipy.signal import welch
 
-from swarmlink.wind import (TurbulenceModel, TurbulenceSpec, WindShearCoeff,
-                            airflow_drag_force, dryden_psd, probe_bins,
-                            synthesis_gain, synthesize_turbulence,
-                            turbulence_psd, von_karman_psd,
-                            wind_shear_response)
+from swarmlink.wind import (TurbulenceModel, TurbulenceSpec, dryden_psd,
+                            probe_bins, synthesis_gain, synthesize_turbulence,
+                            turbulence_psd, von_karman_psd)
 
 SPEC_D = TurbulenceSpec(sigma=(1.5, 1.2, 0.8), length=(200.0, 150.0, 50.0),
                         model=TurbulenceModel.DRYDEN)
@@ -198,29 +196,6 @@ def test_density_peak_over_its_value_at_zero(spec, component, ratio):
     gain = synthesis_gain(spec, component, 40.0, 2 ** 16,
                           np.arange(2 ** 15 + 1, dtype=float))
     assert (gain.max() / gain[0]) ** 2 == pytest.approx(ratio, rel=1e-6)
-
-
-@given(st.floats(-0.999, 0.999), st.floats(-50, 50))
-def test_shear_split_sums(p, delta_vw):
-    dvg, dva = wind_shear_response(WindShearCoeff(p=p), delta_vw)
-    assert dvg + dva == pytest.approx(delta_vw, abs=1e-9)
-    assert dvg == pytest.approx(p * delta_vw, abs=1e-9)
-
-
-def test_shear_coeff_validation():
-    with pytest.raises(ValueError):
-        WindShearCoeff(p=1.0)
-    with pytest.raises(ValueError):
-        WindShearCoeff(p=-1.5)
-
-
-def test_drag_force_formula():
-    # rho * v^2 * C_D * S, no 1/2 factor
-    assert airflow_drag_force(1.225, 10.0, 0.5, 0.2) == pytest.approx(
-        1.225 * 100.0 * 0.5 * 0.2, rel=1e-15)
-    assert airflow_drag_force(1.225, 0.0, 0.5, 0.2) == 0.0
-    with pytest.raises(ValueError):
-        airflow_drag_force(-1.0, 1.0, 1.0, 1.0)
 
 
 def test_spec_validation():
