@@ -668,6 +668,23 @@ def test_unknown_keys_warn_one_line_each(tmp_path, config_dict, capsys):
                     "sed", "wind.shear_p")]
 
 
+# the rotor and PID fields left the schema with the equations that read
+# them: a value their old check rejected is now one unknown-key warning
+@pytest.mark.parametrize("section, group, key, value", [
+    ("dynamics", "params", "thrust_coeff", 0),
+    ("formation", "params", "rotor_inertia", -1),
+    ("dynamics", "params", "air_density", 0),
+    ("formation", "gains", "ki", -1),
+], ids=lambda item: str(item))
+def test_deleted_rotor_and_pid_keys_validate_with_one_warning(
+        tmp_path, config_dict, capsys, section, group, key, value):
+    config_dict[section][group][key] = value
+    path = _write(tmp_path, config_dict)
+    assert main(["validate", "--config", path]) == EXIT_OK
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: config: {section}.{group}.{key}: unknown key, ignored"]
+
+
 def test_unread_antenna_fields_are_unknown_keys(tmp_path, config_dict,
                                                capsys):
     config_dict["budget"]["antenna"] = {"gain_dbi": 3.0, "link_length": 2e3}
