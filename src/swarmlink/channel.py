@@ -49,7 +49,6 @@ class LinkParams:
 
     tx_power: float          # W
     wavelength: float        # m
-    distance: float          # m
     tx_gain: float = 1.0     # linear
     rx_gain: float = 1.0     # linear
     tx_height: float = 100.0  # m
@@ -63,8 +62,6 @@ class LinkParams:
             raise ValueError("antenna gains must be > 0")
         if self.tx_height <= 0 or self.rx_height <= 0:
             raise ValueError("antenna heights must be > 0")
-        if self.distance <= 0:
-            raise ValueError("distance must be > 0")
         if not -1.0 <= self.ground_reflection <= 0.0:
             raise ValueError("ground_reflection must lie in [-1, 0]")
 
@@ -89,10 +86,9 @@ class FadingParams:
             raise ValueError("rician_k must be >= 0")
 
 
-def friis_received_power(link: LinkParams, distance: float | None = None):
+def friis_received_power(link: LinkParams, distance):
     """Free-space received power Pt*Gt*Gr*lambda^2 / (4*pi*d)^2."""
-    d = link.distance if distance is None else distance
-    d = np.asarray(d, dtype=float)
+    d = np.asarray(distance, dtype=float)
     if np.any(d <= 0):
         raise ValueError("distance must be > 0")
     factor = link.wavelength / (4.0 * np.pi * d)
@@ -104,7 +100,7 @@ def crossover_distance(link: LinkParams) -> float:
     return 4.0 * np.pi * link.tx_height * link.rx_height / link.wavelength
 
 
-def two_ray_received_power(link: LinkParams, distance: float | None = None):
+def two_ray_received_power(link: LinkParams, distance):
     """Coherent sum of the direct ray and the ground-reflected ray.
 
     Pr = Pt * (lambda/4pi)^2 * |sqrt(G)/d_los + R*exp(j*phi)*sqrt(G)/d_ref|^2
@@ -117,8 +113,7 @@ def two_ray_received_power(link: LinkParams, distance: float | None = None):
     of n distances holds three float arrays and one complex array of n at
     most. A scalar distance gives a numpy scalar.
     """
-    d = link.distance if distance is None else distance
-    d = np.asarray(d, dtype=float)
+    d = np.asarray(distance, dtype=float)
     if np.any(d <= 0):
         raise ValueError("distance must be > 0")
     shape, d = d.shape, d.reshape(-1)   # 1-d, so that out= takes every step

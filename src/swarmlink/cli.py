@@ -329,7 +329,15 @@ def _optimize(o: dict) -> dict:
         if key not in _fields(default):
             raise ConfigError(f"optimize.{key}: not a setting of "
                               f"{o['algorithm']}")
-    o["config"] = replace(default, **sizes)
+    config = o["config"] = replace(default, **sizes)
+    # the largest array of the run: the population's positions, or for gwo
+    # each step's draw, population x 3 leaders x 2 x dim
+    size = (config.n_particles if o["algorithm"] == "pso"
+            else config.n_wolves * (6 if o["algorithm"] == "gwo" else 1))
+    if o["dim"] > _MAX_COUNT // size:
+        raise ConfigError(f"optimize.dim: must be <= {_MAX_COUNT // size}, "
+                          f"as {o['algorithm']} holds {size} x dim float64 "
+                          f"values and numpy sizes at most {_MAX_COUNT}")
     return o
 
 
@@ -427,6 +435,7 @@ def _berdist(b: dict) -> dict:
     from . import linkbudget
     ref = dict(zip(("link", "data_rate", "noise_power_dbm"),
                    linkbudget.reference_ber_distance_link()))
+    b["link"] = b["link"] or ref["link"]
     if b["use_reference"]:
         _as_reference("berdist", b, ref)
         b.update(ref)
@@ -473,17 +482,11 @@ _CHECKS = {"dt": (lambda dt: dt > 0, "must be > 0"),
                             f"must lie in [0, {_MAX_GRID}], the float64 "
                             "grids that numpy can size")),
            "network.apf.max_steps": (lambda n: n >= 0, "must be >= 0")}
-_MAX_STEPS = np.iinfo(np.intp).max   # ticks of dynamics and formation
 _VEC3 = (0.0, 0.0, 0.0)
 
 
 def _uav():
     return swarmlink.dynamics.UavParams(mass=1.0)
-
-
-def _link():
-    return swarmlink.channel.LinkParams(tx_power=50.0, wavelength=0.125,
-                                        distance=2000.0)
 
 
 DEFAULTS = {
@@ -509,7 +512,8 @@ DEFAULTS = {
         "gains": swarmlink.dynamics.PidGains(kp=16.0, kd=8.0),
         "params": _uav()}, _formation),
     "channel": _section(lambda: {
-        "link": _link(), "fading": swarmlink.channel.FadingParams(),
+        "link": swarmlink.channel.LinkParams(tx_power=50.0, wavelength=0.125),
+        "fading": swarmlink.channel.FadingParams(),
         "ebn0_db": _many(0.0, [0, 2, 4, 6, 8]), "n_bits": 100000,
         "constellation_ebn0_db": 10.0, "sweep": {
             "d_min": 10.0, "d_max": 100000.0, "n": 500}}, _channel),
@@ -525,10 +529,13 @@ DEFAULTS = {
             swarmlink.linkbudget.PRINTED_TOTALS, float), _given),
         "text_values": _section(lambda: dict.fromkeys(
             swarmlink.linkbudget.TEXT_VALUES, float), _given)}, _budget),
+    # the link holds what Friis reads; left out, it is the reference link
     "berdist": _section(lambda: {
-        "use_reference": True, "link": _link(), "data_rate": float,
-        "noise_power_dbm": float, "d_min": 100.0, "d_max": 10000.0,
-        "n": 200}, _berdist),
+        "use_reference": True, "link": _section(lambda: {
+            "tx_power": 50.0, "wavelength": 0.125, "tx_gain": 1.0,
+            "rx_gain": 1.0}, lambda f: swarmlink.channel.LinkParams(**f)),
+        "data_rate": float, "noise_power_dbm": float, "d_min": 100.0,
+        "d_max": 10000.0, "n": 200}, _berdist),
     "network": _section(lambda: {
         "kind": swarmlink.network.TopologyKind.STAR, "n_uavs": 4,
         "n_groups": 1, "link_range": 100.0, "src": "u0",
@@ -547,9 +554,16 @@ def parse_config(config: dict) -> tuple[dict, list[str], list[str]]:
     unknown keys)``. Sections left out are None."""
     violations, unknown = [], []
     scenario = _object(config, DEFAULTS, "", unknown, violations)
+    # simulate._fly tracks N UAVs as (N, steps + 1, 3) float64 values: N is
+    # 1 for dynamics and the follower count for formation
+    formation = scenario.get("formation")
+    uavs = max(1, len(formation["roles"].followers)) if formation else 1
+    most = _MAX_COUNT // (3 * uavs) - 1
     steps = scenario.get("duration", 0) / scenario.get("dt", math.inf)
-    if not steps <= _MAX_STEPS:
-        violations.append(f"duration: duration / dt is over {_MAX_STEPS}")
+    if not (math.isfinite(steps) and round(steps) <= most):
+        violations.append(f"duration: duration / dt is over {most}, as the "
+                          f"flight tracks {uavs} x (steps + 1) x 3 float64 "
+                          f"values and numpy sizes at most {_MAX_COUNT}")
     if (scenario.get("dynamics") or scenario.get("formation")) and not \
             scenario.get("dt", 0) < swarmlink.formation.MAX_DT:
         violations.append(f"dt: must be < {swarmlink.formation.MAX_DT:.6g} "

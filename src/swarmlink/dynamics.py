@@ -1,4 +1,4 @@
-"""Quadrotor rigid-body model (X-flyer): the state, physical constants and
+"""Quadrotor rigid-body model (X-flyer): the state, gravity, the mass and
 PD gains, and the semi-implicit Euler step that the flights advance.
 
 All functions are pure: they take value types and return new values, so they
@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "GRAVITY",
     "UavState",
     "UavParams",
     "PidGains",
@@ -60,18 +61,18 @@ class UavState:
                    euler=z, euler_rates=z)
 
 
+GRAVITY = 9.81   # m/s^2, the acceleration that every thrust works against
+
+
 @dataclass(frozen=True)
 class UavParams:
-    """Physical constants of one quadrotor: its mass and the gravitational
-    acceleration that its thrust works against."""
+    """Physical constants of one quadrotor: its mass."""
 
     mass: float
-    gravity: float = 9.81
 
     def __post_init__(self):
-        for name in ("mass", "gravity"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+        if self.mass <= 0:
+            raise ValueError("mass must be strictly positive")
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,7 @@ def _linear_accels(euler: np.ndarray, thrust: np.ndarray,
     u, m = thrust, params.mass
     ax = u * (sph * sps + cph * cps * sth) / m
     ay = u * (cph * sth * sps - cps * sph) / m
-    az = u * cth * cph / m - params.gravity
+    az = u * cth * cph / m - GRAVITY
     return np.array([ax, ay, az]).T
 
 

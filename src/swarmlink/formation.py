@@ -23,7 +23,7 @@ from graphlib import CycleError, TopologicalSorter
 
 import numpy as np
 
-from .dynamics import PidGains, UavParams, UavState, normalize_angle
+from .dynamics import GRAVITY, PidGains, UavParams, UavState, normalize_angle
 
 __all__ = [
     "MAX_DT",
@@ -221,8 +221,7 @@ def movement_steps(position, velocity, euler, euler_rates,
     """
     err = target_positions - position
     a_des = gains.kp * err - gains.kd * velocity
-    g = params.gravity
-    az = a_des[..., 2] + g
+    az = a_des[..., 2] + GRAVITY
     # thrust from the vertical channel; tilt assumed small
     psi, theta, phi = euler.T
     u = params.mass * np.maximum(az, 0.0) / np.maximum(

@@ -13,7 +13,8 @@ import pytest
 from scipy.signal import welch
 
 from swarmlink import channel, linkbudget, network, swarm_opt, wind
-from swarmlink.dynamics import PidGains, UavParams, UavState, step_states
+from swarmlink.dynamics import (GRAVITY, PidGains, UavParams, UavState,
+                                step_states)
 from swarmlink.formation import (FormationMode, FormationSpec, Pose,
                                  RoleGraph, follower_targets)
 from swarmlink.simulate import (simulate_formation, simulate_position_hold,
@@ -95,9 +96,9 @@ def test_criterion_04_friis_path_loss(capsys):
     def check():
         assert abs(linkbudget.path_loss_db(0.125, 2000.0)
                    - (-106.06)) <= 0.02
-        link = channel.LinkParams(tx_power=1.0, wavelength=0.125,
-                                  distance=2000.0)
-        ratio_db = 10.0 * math.log10(channel.friis_received_power(link))
+        link = channel.LinkParams(tx_power=1.0, wavelength=0.125)
+        ratio_db = 10.0 * math.log10(channel.friis_received_power(link,
+                                                                  2000.0))
         assert abs(ratio_db - (-106.06)) <= 0.02
     _verdict(capsys, 4, "Friis path loss at 2 km, 0.125 m equals "
              "106.06 dB", check)
@@ -107,12 +108,11 @@ def test_criterion_05_two_ray(capsys):
     def check():
         start = time.monotonic()
         link = channel.LinkParams(tx_power=50.0, wavelength=0.125,
-                                  distance=2000.0, tx_height=10.0,
-                                  rx_height=10.0)
+                                  tx_height=10.0, rx_height=10.0)
         d = np.logspace(1, 5, 200)
         zero_r = channel.LinkParams(tx_power=50.0, wavelength=0.125,
-                                    distance=2000.0, tx_height=10.0,
-                                    rx_height=10.0, ground_reflection=0.0)
+                                    tx_height=10.0, rx_height=10.0,
+                                    ground_reflection=0.0)
         friis = channel.friis_received_power(zero_r, d)  # d_los == d here
         two_ray = channel.two_ray_received_power(zero_r, d)
         assert np.max(np.abs(two_ray - friis) / friis) <= 1e-12
@@ -193,7 +193,7 @@ def test_criterion_09_dynamics(capsys):
         state = UavState.at_rest(position=(0.0, 0.0, 5.0))
         rest = (state.position, state.velocity, state.euler,
                 state.euler_rates)
-        hover, zero = PARAMS.mass * PARAMS.gravity, np.zeros(3)
+        hover, zero = PARAMS.mass * GRAVITY, np.zeros(3)
         _, lin, _, ang = step_states(*rest, hover, zero, PARAMS, 1.0)
         assert np.all(lin == 0.0) and np.all(ang == 0.0)
         stepped = step_states(*rest, hover, zero, PARAMS, 0.01)
@@ -210,8 +210,8 @@ def test_criterion_09_dynamics(capsys):
         for _ in range(n):
             falling = step_states(*falling, 0.0, zero, PARAMS, dt)
         t = n * dt
-        closed_form = -0.5 * PARAMS.gravity * t * t
-        bound = 0.5 * PARAMS.gravity * t * dt  # global error of Euler
+        closed_form = -0.5 * GRAVITY * t * t
+        bound = 0.5 * GRAVITY * t * dt  # global error of Euler
         assert abs(falling[0][2] - closed_form) <= bound + 1e-12
     _verdict(capsys, 9, "dynamics: exact hover fixed point, <1% PD step "
              "error, free fall within Euler bound", check)

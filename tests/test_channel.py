@@ -18,8 +18,8 @@ from swarmlink.channel import (FadingKind, FadingParams, LinkParams,
                                qpsk_demodulate, qpsk_modulate,
                                two_ray_received_power, watts_to_dbm)
 
-LINK = LinkParams(tx_power=50.0, wavelength=0.125, distance=2000.0,
-                  tx_gain=1.0, rx_gain=1.0, tx_height=10.0, rx_height=10.0)
+LINK = LinkParams(tx_power=50.0, wavelength=0.125, tx_gain=1.0, rx_gain=1.0,
+                  tx_height=10.0, rx_height=10.0)
 
 
 def test_watts_to_dbm():
@@ -31,9 +31,10 @@ def test_watts_to_dbm():
 def test_friis_hand_value():
     # Pt=50, G=1, lambda=0.125, d=2000: Pr = 50*(0.125/(4*pi*2000))^2
     expected = 50.0 * (0.125 / (4.0 * math.pi * 2000.0)) ** 2
-    assert friis_received_power(LINK) == pytest.approx(expected, rel=1e-15)
+    pr = friis_received_power(LINK, 2000.0)
+    assert pr == pytest.approx(expected, rel=1e-15)
     # path loss in dB matches the textbook 106.06 dB figure
-    loss_db = watts_to_dbm(LINK.tx_power) - watts_to_dbm(friis_received_power(LINK))
+    loss_db = watts_to_dbm(LINK.tx_power) - watts_to_dbm(pr)
     assert loss_db == pytest.approx(106.06, abs=0.02)
 
 
@@ -58,8 +59,8 @@ def test_crossover_distance():
 
 
 def test_two_ray_r0_equals_friis_at_dlos():
-    link = LinkParams(tx_power=50.0, wavelength=0.125, distance=2000.0,
-                      tx_height=10.0, rx_height=15.0, ground_reflection=0.0)
+    link = LinkParams(tx_power=50.0, wavelength=0.125, tx_height=10.0,
+                      rx_height=15.0, ground_reflection=0.0)
     d = np.logspace(1, 5, 50)
     d_los = np.sqrt(d ** 2 + (10.0 - 15.0) ** 2)
     friis = friis_received_power(link, d_los)
@@ -86,14 +87,15 @@ def test_two_ray_nulls_before_crossover():
 
 def test_two_ray_hand_value():
     # single hand-evaluated point
-    link = LinkParams(tx_power=1.0, wavelength=1.0, distance=100.0,
-                      tx_height=5.0, rx_height=5.0, ground_reflection=-1.0)
+    link = LinkParams(tx_power=1.0, wavelength=1.0, tx_height=5.0,
+                      rx_height=5.0, ground_reflection=-1.0)
     d_los = math.sqrt(100.0 ** 2 + 0.0)
     d_ref = math.sqrt(100.0 ** 2 + 10.0 ** 2)
     phi = 2.0 * math.pi * (d_ref - d_los)
     fld = 1.0 / d_los - complex(math.cos(phi), math.sin(phi)) / d_ref
     expected = (1.0 / (4.0 * math.pi)) ** 2 * abs(fld) ** 2
-    assert two_ray_received_power(link) == pytest.approx(expected, rel=1e-12)
+    assert two_ray_received_power(link, 100.0) == pytest.approx(expected,
+                                                                rel=1e-12)
 
 
 _PI = decimal.Decimal("3.14159265358979323846264338327950288419716939937510")
@@ -121,8 +123,8 @@ def _two_ray_oracle(link: LinkParams, d: float) -> float:
 
 
 @pytest.mark.parametrize("link", [
-    LINK, LinkParams(tx_power=50.0, wavelength=0.125, distance=2000.0,
-                     tx_height=100.0, rx_height=1.5, ground_reflection=-0.7)])
+    LINK, LinkParams(tx_power=50.0, wavelength=0.125, tx_height=100.0,
+                     rx_height=1.5, ground_reflection=-0.7)])
 def test_two_ray_phase_difference_matches_decimal_oracle(link):
     # d_ref - d_los taken by subtraction cancels to 0 far out: the power
     # was then 0 (-inf dB) with R = -1, and 1e-9 off at 2e8 m with R = -0.7
@@ -132,11 +134,10 @@ def test_two_ray_phase_difference_matches_decimal_oracle(link):
                                rtol=1e-12)
 
 
-def _two_ray_out_of_place(link: LinkParams, distance=None):
+def _two_ray_out_of_place(link: LinkParams, distance):
     """The two-ray power as the model first computed it, one temporary
     per operation; the in-place form must keep its every bit."""
-    d = np.asarray(link.distance if distance is None else distance,
-                   dtype=float)
+    d = np.asarray(distance, dtype=float)
     dh = link.tx_height - link.rx_height
     sh = link.tx_height + link.rx_height
     d_los = np.sqrt(d ** 2 + dh ** 2)
@@ -153,13 +154,15 @@ def _two_ray_out_of_place(link: LinkParams, distance=None):
 def test_in_place_two_ray_keeps_every_bit():
     rng = np.random.default_rng(18)
     for _ in range(60):
+        tx_power, wavelength = rng.uniform(0.1, 100.0), rng.uniform(0.01, 2.0)
+        distance = rng.uniform(1.0, 1e5)
         link = LinkParams(
-            tx_power=rng.uniform(0.1, 100.0), wavelength=rng.uniform(0.01, 2.0),
-            distance=rng.uniform(1.0, 1e5), tx_gain=rng.uniform(0.5, 3.0),
+            tx_power=tx_power, wavelength=wavelength,
+            tx_gain=rng.uniform(0.5, 3.0),
             rx_gain=rng.uniform(0.5, 3.0), tx_height=rng.uniform(0.5, 300.0),
             rx_height=rng.uniform(0.5, 300.0),
             ground_reflection=rng.choice([-1.0, 0.0, rng.uniform(-1.0, 0.0)]))
-        for d in (None, float(rng.uniform(1.0, 1e5)),
+        for d in (distance, float(rng.uniform(1.0, 1e5)),
                   np.array(rng.uniform(1.0, 1e5)),
                   np.array([rng.uniform(1.0, 1e5)]), np.logspace(1, 14, 301),
                   rng.uniform(1e-3, 1e7, size=(4, 5))):
@@ -288,10 +291,9 @@ def test_fading_ordering():
 
 def test_link_params_validation():
     with pytest.raises(ValueError):
-        LinkParams(tx_power=0.0, wavelength=0.1, distance=1.0)
+        LinkParams(tx_power=0.0, wavelength=0.1)
     with pytest.raises(ValueError):
-        LinkParams(tx_power=1.0, wavelength=0.1, distance=1.0,
-                   ground_reflection=0.5)
+        LinkParams(tx_power=1.0, wavelength=0.1, ground_reflection=0.5)
     with pytest.raises(ValueError):
         ber_monte_carlo(FadingParams(), 0.0, 3)
 

@@ -231,14 +231,15 @@ def test_out_below_a_file_is_io_error(tmp_path, config_dict, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: io: ")
 
 
-# each passes validate; 10**18 float64 values (8e18 bytes) fit no 64-bit
-# address space, so numpy refuses the array before touching memory
+# each passes validate (10**16 is below the dim that 40 particles allow);
+# 10**16 float64 values (8e16 bytes, 71 PiB) are more than a process can
+# map, so the allocation fails before touching memory
 @pytest.mark.parametrize("subcommand,field", [
     ("optimize", "optimize.dim"), ("channel", "channel.sweep.n"),
     ("berdist", "berdist.n"), ("wind", "wind.n_omega")])
 def test_config_too_large_to_allocate_one_line_exit_1(
         tmp_path, config_dict, capsys, subcommand, field):
-    _set(config_dict, field, 10 ** 18)
+    _set(config_dict, field, 10 ** 16)
     assert main([subcommand, "--config", _write(tmp_path, config_dict),
                  "--out", str(tmp_path / "out")]) == EXIT_ERROR
     lines = capsys.readouterr().err.splitlines()
@@ -266,6 +267,47 @@ def test_grid_bound_is_numpys():
         np.linspace(0.0, 1.0, bound)
     with pytest.raises(ValueError, match="array is too big"):
         np.linspace(0.0, 1.0, bound + 1)
+
+
+@pytest.mark.parametrize("section", ["dynamics", "formation"])
+def test_flight_bound_is_numpys(config_dict, section):
+    """The most ticks that validate accepts are the most whose (N, ticks, 3)
+    track numpy can size, N being 1 UAV in dynamics and the reference
+    formation's 3 followers: one more tick cannot be sized, and neither
+    allocates. The last duration accepted is the largest float at that
+    bound."""
+    uavs = 1 if section == "dynamics" else 3
+    ticks = np.iinfo(np.intp).max // 8 // (3 * uavs)
+    with pytest.raises(MemoryError):
+        np.empty((uavs, ticks, 3))
+    with pytest.raises(ValueError, match="array is too big"):
+        np.empty((uavs, ticks + 1, 3))
+    dt = 2.0 ** -5   # exact, so that duration / dt is exact too
+    last = float(ticks - 1)
+    if last > ticks - 1:
+        last = math.nextafter(last, 0.0)
+    for steps, violations in ((last, 0), (math.nextafter(last, math.inf), 1)):
+        config = {"seed": 1, "dt": dt, "duration": steps * dt,
+                  section: config_dict[section]}
+        assert len(validate_config(config)) == violations, steps
+
+
+@pytest.mark.parametrize("algorithm", ["pso", "gwo", "wpa"])
+def test_dim_bound_is_numpys(algorithm):
+    """The largest dim that validate accepts is the largest whose biggest
+    array numpy can size: the (population, dim) positions, or gwo's (wolves,
+    3, 2, dim) draw; one more cannot be sized, and neither allocates."""
+    population = 40 if algorithm == "pso" else 30   # the class defaults
+    shape = (population, 3, 2) if algorithm == "gwo" else (population,)
+    dim = np.iinfo(np.intp).max // 8 // math.prod(shape)
+    with pytest.raises(MemoryError):
+        np.empty((*shape, dim))
+    with pytest.raises(ValueError, match="array is too big"):
+        np.empty((*shape, dim + 1))
+    for value, violations in ((dim, 0), (dim + 1, 1)):
+        config = {"seed": 1, "optimize": {"algorithm": algorithm,
+                                          "dim": value}}
+        assert len(validate_config(config)) == violations, value
 
 
 def test_wind_rerun_byte_identical(tmp_path, config_dict):
@@ -370,6 +412,9 @@ def _reference_ledger() -> dict:
 
 
 LEDGER = _reference_ledger()
+# the reference berdist link written out: the fields that Friis reads
+FRIIS_LINK = {key: getattr(linkbudget.reference_ber_distance_link()[0], key)
+              for key in ("tx_power", "wavelength", "tx_gain", "rx_gain")}
 
 
 # (subcommand, field to set, value, field the error must name)
@@ -542,11 +587,16 @@ MALFORMED = [
     ("network", "network.apf.influence_radius", -1,
      "network.apf.influence_radius"),
     ("network", "network.apf.step", 1e308, "network.apf.step"),
-    # each passed validate; the sweeps never read link.distance
-    ("channel", "channel.link.distance", 0, "channel.link"),
-    ("berdist", "berdist", {"use_reference": False, "link": {
-        "tx_power": 50.0, "wavelength": 0.125, "distance": -5},
-        "data_rate": 1e6, "noise_power_dbm": -120.0}, "berdist.link"),
+    # each passed validate, then exited 1 with "array is too big" or a
+    # MemoryError: no float64 array holds the flight's track (three
+    # followers in formation) or the optimizer's population
+    ("dynamics", "duration", 2.3e16, "duration"),
+    ("formation", "duration", 2e15, "duration"),
+    *(("optimize", "optimize", {"algorithm": "pso", "n_particles": 4,
+                                "dim": dim}, "optimize.dim")
+      for dim in (2 ** 60, 2 ** 62)),
+    ("optimize", "optimize", {"algorithm": "gwo", "dim": 10 ** 16},
+     "optimize.dim"),
     # each named a sweep end or another probe's field, not the one at fault
     ("wind", "wind.length", [1e300, 200, 50], "wind.length"),
     ("wind", "wind", {"sigma": [10, 1, 1], "length": [1e308, 200, 50]},
@@ -557,7 +607,7 @@ MALFORMED = [
                             "noise_power_dbm": -3200.0},
      "berdist.noise_power_dbm"),
     ("berdist", "berdist", {"use_reference": False, "link": {
-        "tx_power": 1e308, "wavelength": 0.125, "distance": 2000.0},
+        "tx_power": 1e308, "wavelength": 0.125},
         "data_rate": 1e6, "noise_power_dbm": -120.0}, "berdist.link"),
     # each passed validate, then wrote a NaN gust series: the synthesis
     # gain ((psd * 2) * pi) / spacing overflows where psd * (2 pi / spacing)
@@ -607,7 +657,7 @@ def test_optimizer_settings_are_scenario_keys():
 # earlier check
 LIBRARY_ONLY = [
     ("distance must be", lambda: channel.two_ray_received_power(
-        cli._link(), 0.0)),
+        channel.LinkParams(tx_power=50.0, wavelength=0.125), 0.0)),
     ("position must be", lambda: formation.Pose((1.0, 2.0))),
     ("offset must be", lambda: formation.FormationSpec(
         formation.FormationMode.FIXED_GLOBAL_DIFFERENCE, (math.inf, 0, 0))),
@@ -647,6 +697,14 @@ def test_unknown_keys_warn_one_line_each(tmp_path, config_dict, capsys):
         rotor_disc_area=0.05, thrust_coeff=1e-5, rotor_inertia=1e-4,
         air_density=1.225)
     config_dict["formation"].setdefault("gains", {})["ki"] = 0.5
+    # values that no run read or varied: the sweeps pass their distances,
+    # berdist is Friis only, and gravity is dynamics.GRAVITY
+    config_dict["channel"]["link"]["distance"] = 2000.0
+    config_dict["berdist"]["link"] = {"distance": 2000.0, "tx_height": 10.0,
+                                      "rx_height": 10.0,
+                                      "ground_reflection": -1.0}
+    config_dict["dynamics"]["params"]["gravity"] = 9.81
+    config_dict["formation"]["params"]["gravity"] = 9.81
     config_dict["wind"]["shear_p"] = 0.4
     config_dict["budget"]["antenna"] = {
         "freq_low": 2.2e9, "freq_high": 2.4e9, "rx_threshold_dbm": -85.0}
@@ -656,14 +714,19 @@ def test_unknown_keys_warn_one_line_each(tmp_path, config_dict, capsys):
     assert main(["validate", "--config", path]) == EXIT_OK
     assert sorted(capsys.readouterr().err.splitlines()) == [
         f"warning: config: {key}: unknown key, ignored"
-        for key in ("budget.antenna.freq_high", "budget.antenna.freq_low",
+        for key in ("berdist.link.distance",
+                    "berdist.link.ground_reflection",
+                    "berdist.link.rx_height", "berdist.link.tx_height",
+                    "budget.antenna.freq_high", "budget.antenna.freq_low",
                     "budget.antenna.rx_threshold_dbm",
-                    "budget.printed_totals.eirp",
+                    "budget.printed_totals.eirp", "channel.link.distance",
                     "dynamics.params.air_density",
+                    "dynamics.params.gravity",
                     "dynamics.params.rotor_disc_area",
                     "dynamics.params.rotor_inertia",
                     "dynamics.params.thrust_coeff",
                     "formation.edges[0][2].ofset", "formation.gains.ki",
+                    "formation.params.gravity",
                     "optimize.n_particle",
                     "sed", "wind.shear_p")]
 
@@ -679,6 +742,26 @@ def test_unknown_keys_warn_one_line_each(tmp_path, config_dict, capsys):
 def test_deleted_rotor_and_pid_keys_validate_with_one_warning(
         tmp_path, config_dict, capsys, section, group, key, value):
     config_dict[section][group][key] = value
+    path = _write(tmp_path, config_dict)
+    assert main(["validate", "--config", path]) == EXIT_OK
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: config: {section}.{group}.{key}: unknown key, ignored"]
+
+
+# link.distance, berdist's two-ray geometry and gravity left the schema: a
+# value their old check rejected is now one unknown-key warning
+@pytest.mark.parametrize("section, group, key, value", [
+    ("channel", "link", "distance", 0),
+    ("berdist", "link", "distance", -5),
+    ("berdist", "link", "tx_height", 0),
+    ("berdist", "link", "rx_height", -5),
+    ("berdist", "link", "ground_reflection", 0.5),
+    ("dynamics", "params", "gravity", 0),
+    ("formation", "params", "gravity", -9.81),
+], ids=lambda item: str(item))
+def test_deleted_link_and_gravity_keys_validate_with_one_warning(
+        tmp_path, config_dict, capsys, section, group, key, value):
+    config_dict[section].setdefault(group, {})[key] = value
     path = _write(tmp_path, config_dict)
     assert main(["validate", "--config", path]) == EXIT_OK
     assert capsys.readouterr().err.splitlines() == [
@@ -762,8 +845,8 @@ def test_berdist_needs_its_section_and_empty_runs_reference_link(
     assert capsys.readouterr().err.splitlines() == [
         "error: config: berdist: section required"]
     assert not out.exists()
-    link, data_rate, noise = linkbudget.reference_ber_distance_link()
-    written = {"use_reference": False, "link": asdict(link),
+    _, data_rate, noise = linkbudget.reference_ber_distance_link()
+    written = {"use_reference": False, "link": FRIIS_LINK,
                "data_rate": data_rate, "noise_power_dbm": noise}
     outputs = []
     for name, section in (("empty", {}), ("written", written)):
@@ -885,10 +968,10 @@ def _small_config(subcommand: str, scenario: str = "reference") -> dict:
     """configs/<scenario>.json's section for ``subcommand`` with its sizes
     capped; the written-out ledger for budget and a written link for
     berdist."""
-    link, data_rate, noise = linkbudget.reference_ber_distance_link()
+    _, data_rate, noise = linkbudget.reference_ber_distance_link()
     text = REPO_CONFIG.with_name(f"{scenario}.json").read_text()
     sections = {**json.loads(text), "budget": LEDGER,
-                "berdist": {"use_reference": False, "link": asdict(link),
+                "berdist": {"use_reference": False, "link": FRIIS_LINK,
                             "data_rate": data_rate, "noise_power_dbm": noise,
                             "d_min": 100.0, "d_max": 10000.0, "n": 20}}
     # through JSON, so that the ledger's (label, dB) pairs become lists

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from swarmlink.dynamics import (PidGains, UavParams, UavState,
+from swarmlink.dynamics import (GRAVITY, PidGains, UavParams, UavState,
                                 normalize_angle, step_states)
 
 PARAMS = UavParams(mass=1.0)
@@ -44,7 +44,7 @@ def test_normalize_angle_range_and_congruence(angle):
 
 
 def test_hover_is_fixed_point():
-    hover = PARAMS.mass * PARAMS.gravity
+    hover = PARAMS.mass * GRAVITY
     np.testing.assert_allclose(accels(ZERO, hover), 0.0, atol=1e-12)
     start = rest((1.0, 2.0, 3.0))
     stepped = start
@@ -58,7 +58,7 @@ def test_hover_is_fixed_point():
 def test_level_thrust_is_vertical():
     lin = accels(ZERO, 20.0)
     np.testing.assert_allclose(lin[:2], 0.0, atol=1e-15)
-    assert lin[2] == pytest.approx(20.0 / PARAMS.mass - PARAMS.gravity)
+    assert lin[2] == pytest.approx(20.0 / PARAMS.mass - GRAVITY)
 
 
 def test_pitch_produces_forward_accel():
@@ -69,7 +69,7 @@ def test_pitch_produces_forward_accel():
     assert lin[0] == pytest.approx(u * math.sin(theta) / PARAMS.mass)
     assert lin[1] == pytest.approx(0.0, abs=1e-15)
     assert lin[2] == pytest.approx(u * math.cos(theta) / PARAMS.mass
-                                   - PARAMS.gravity)
+                                   - GRAVITY)
 
 
 def test_roll_produces_lateral_accel():
@@ -88,7 +88,7 @@ def test_free_fall_matches_closed_form():
     state = rest()
     for _ in range(n):
         state = step_states(*state, 0.0, ZERO, PARAMS, dt)
-    g = PARAMS.gravity
+    g = GRAVITY
     exact_euler = -g * dt * dt * n * (n + 1) / 2.0
     assert state[0][2] == pytest.approx(exact_euler, rel=1e-12)
     t = n * dt
@@ -100,8 +100,8 @@ def test_free_fall_matches_closed_form():
 def test_step_states_semi_implicit_order():
     # one step: velocity updates first, position uses the new velocity
     position, velocity, _, _ = step_states(*rest(), 0.0, ZERO, PARAMS, 0.1)
-    assert velocity[2] == pytest.approx(-PARAMS.gravity * 0.1)
-    assert position[2] == pytest.approx(-PARAMS.gravity * 0.01)
+    assert velocity[2] == pytest.approx(-GRAVITY * 0.1)
+    assert position[2] == pytest.approx(-GRAVITY * 0.01)
 
 
 def test_step_states_deterministic():
@@ -123,4 +123,4 @@ def test_validation_errors():
         UavState(position=np.zeros(2), velocity=np.zeros(3),
                  euler=np.zeros(3), euler_rates=np.zeros(3))
     with pytest.raises(ValueError):
-        step_states(*rest(), PARAMS.mass * PARAMS.gravity, ZERO, PARAMS, 0.0)
+        step_states(*rest(), PARAMS.mass * GRAVITY, ZERO, PARAMS, 0.0)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from swarmlink import simulate
-from swarmlink.dynamics import (PidGains, UavParams, UavState,
+from swarmlink.dynamics import (GRAVITY, PidGains, UavParams, UavState,
                                 normalize_angle, step_state, step_states)
 from swarmlink.formation import (MAX_DT, FormationMode, FormationSpec, Pose,
                                  RoleGraph, follower_targets, movement_step,
@@ -274,7 +274,7 @@ def oracle_tick(position, velocity, euler, rates, target, heading, gains,
     body z axis under the ZYX rotation minus gravity, and one
     semi-implicit Euler step. Returns (position, velocity, euler, rates)
     as lists."""
-    m, g = params.mass, params.gravity
+    m, g = params.mass, GRAVITY
     psi, theta, phi = euler
     a = [gains.kp * (t - p) - gains.kd * v
          for t, p, v in zip(target, position, velocity)]

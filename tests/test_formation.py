@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from swarmlink.dynamics import PidGains, UavParams, UavState
+from swarmlink.dynamics import GRAVITY, PidGains, UavParams, UavState
 from swarmlink.formation import (FormationMode, FormationSpec, Pose,
                                  RoleGraph, follower_targets,
                                  formation_targets, movement_steps)
@@ -128,7 +128,7 @@ def test_movement_steps_tilt_setpoints():
     rest = (np.array([0.0, 0.0, 10.0]), *[np.zeros(3)] * 3)
     thrust, moments = movement_steps(*rest, np.array([0.0, 0.0, 10.0]), 0.0,
                                      GAINS, PARAMS)
-    assert thrust == pytest.approx(PARAMS.mass * PARAMS.gravity)
+    assert thrust == pytest.approx(PARAMS.mass * GRAVITY)
     np.testing.assert_allclose(moments, 0.0, atol=1e-12)
     # a +x error pitches the craft forward (positive pitch moment)
     _, moments = movement_steps(*rest, np.array([1.0, 0.0, 10.0]), 0.0,

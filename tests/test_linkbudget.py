@@ -155,9 +155,10 @@ def test_dbm_to_watts_hand_values():
 
 def test_friis_consistency_with_channel_module():
     """The budget's dB path loss equals the channel module's linear ratio."""
-    link = LinkParams(tx_power=1.0, wavelength=0.125, distance=2000.0)
+    link = LinkParams(tx_power=1.0, wavelength=0.125)
     from swarmlink.channel import friis_received_power
-    ratio_db = 10.0 * math.log10(friis_received_power(link) / link.tx_power)
+    ratio_db = 10.0 * math.log10(friis_received_power(link, 2000.0)
+                                 / link.tx_power)
     assert ratio_db == pytest.approx(path_loss_db(0.125, 2000.0), rel=1e-12)
 
 
