@@ -607,7 +607,7 @@ MALFORMED = [
                             "noise_power_dbm": -3200.0},
      "berdist.noise_power_dbm"),
     ("berdist", "berdist", {"use_reference": False, "link": {
-        "tx_power": 1e308, "wavelength": 0.125},
+        "tx_power": 1e308, "wavelength": 0.125, "distance": 2000.0},
         "data_rate": 1e6, "noise_power_dbm": -120.0}, "berdist.link"),
     # each passed validate, then wrote a NaN gust series: the synthesis
     # gain ((psd * 2) * pi) / spacing overflows where psd * (2 pi / spacing)
